@@ -161,16 +161,15 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faultinject/
 	$(GO) test -race -count=1 -run 'Chaos|Journal|Drain|Backoff|KillMinus9' -timeout 20m ./internal/cluster/
 
-# Native Go fuzzers over the /cluster/v1/ wire decoding and the journal
-# scanner, a short exploratory budget each; the committed seed corpora in
-# internal/cluster/testdata/fuzz/ also run as regression inputs in every
-# plain "go test".
+# Native Go fuzzers over the /cluster/v1/ wire decoding and the frame
+# scanner shared by the journal, result store and claims region, a short
+# exploratory budget each; the committed seed corpora in
+# internal/cluster/testdata/fuzz/ and internal/segment/testdata/fuzz/ also
+# run as regression inputs in every plain "go test".
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzJournalScan -fuzztime 20s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 60s ./internal/segment/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 20s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzClusterHandlers -fuzztime 20s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 20s ./internal/resultstore/
-	$(GO) test -run '^$$' -fuzz FuzzClaimsScan -fuzztime 20s ./internal/resultstore/
 
 # Quick-look benchmark pass: regenerates every paper figure at a reduced
 # batch budget and runs the micro/ablation benchmarks.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"sort"
 	"testing"
 	"time"
 )
@@ -16,36 +17,40 @@ import (
 // The measured overhead of the durable journal is reported in
 // docs/cluster.md ("Failure model & recovery"); the acceptance bar is <=5%.
 func benchmarkCoordinatorCurve(b *testing.B, journaled, noSync bool) {
-	sc := testScenario(20000)
-	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := Config{
-			PollInterval: time.Millisecond, // rescue ticks must not dominate the measurement
-			ChunkBatches: 2000,
-			CheckEvery:   2000,
-		}
-		var j *Journal
-		if journaled {
-			var err error
-			j, err = OpenJournal(JournalConfig{Dir: b.TempDir(), NoSync: noSync})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.Journal = j
-		}
-		coord := New(cfg)
-		curve, _, err := coord.UnsafetyCurve(ctx, sc, 1, nil)
-		coord.Close()
-		if j != nil {
-			j.Close()
-		}
+		coordinatorCurve(b, journaled, noSync)
+	}
+}
+
+// coordinatorCurve runs one 20k-batch evaluation through a fresh
+// coordinator, journaled or not.
+func coordinatorCurve(tb testing.TB, journaled, noSync bool) {
+	cfg := Config{
+		PollInterval: time.Millisecond, // rescue ticks must not dominate the measurement
+		ChunkBatches: 2000,
+		CheckEvery:   2000,
+	}
+	var j *Journal
+	if journaled {
+		var err error
+		j, err = OpenJournal(JournalConfig{Dir: tb.TempDir(), NoSync: noSync})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if curve.Batches != 20000 {
-			b.Fatalf("Batches = %d, want 20000", curve.Batches)
-		}
+		cfg.Journal = j
+	}
+	coord := New(cfg)
+	curve, _, err := coord.UnsafetyCurve(context.Background(), testScenario(20000), 1, nil)
+	coord.Close()
+	if j != nil {
+		j.Close()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if curve.Batches != 20000 {
+		tb.Fatalf("Batches = %d, want 20000", curve.Batches)
 	}
 }
 
@@ -54,27 +59,44 @@ func BenchmarkCoordinatorJournal(b *testing.B)       { benchmarkCoordinatorCurve
 func BenchmarkCoordinatorJournalNoSync(b *testing.B) { benchmarkCoordinatorCurve(b, true, true) }
 
 // TestJournalOverheadBudget enforces the acceptance bar in the suite
-// itself: one 20k-batch run each way, journal overhead within 5% (with
-// slack for timer noise on loaded CI machines — the benchmark above is the
-// precise instrument).
+// itself: journal overhead on a 20k-batch run within 5% (with slack for
+// timer noise on loaded CI machines — the benchmark above is the precise
+// instrument). The two configurations run alternately, several times
+// each, and their medians are compared: on a shared machine the load
+// drifts over seconds, and a single back-to-back pair measures that drift
+// as often as it measures the journal.
 func TestJournalOverheadBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two 20k-batch evaluations")
+		t.Skip("runs fourteen 20k-batch evaluations")
 	}
+	const pairs = 7
 	run := func(journaled bool) float64 {
-		res := testing.Benchmark(func(b *testing.B) {
-			benchmarkCoordinatorCurve(b, journaled, false)
-		})
-		return float64(res.NsPerOp())
+		start := time.Now()
+		coordinatorCurve(t, journaled, false)
+		return float64(time.Since(start))
 	}
-	base := run(false)
-	withJournal := run(true)
+	var bases, journaled []float64
+	for i := 0; i < pairs; i++ {
+		bases = append(bases, run(false))
+		journaled = append(journaled, run(true))
+	}
+	base, withJournal := median(bases), median(journaled)
 	overhead := (withJournal - base) / base
-	t.Logf("journal overhead: base=%.0fms journaled=%.0fms overhead=%.2f%%",
-		base/1e6, withJournal/1e6, overhead*100)
+	t.Logf("journal overhead: base=%.0fms journaled=%.0fms overhead=%.2f%% (medians of %d alternating runs each)",
+		base/1e6, withJournal/1e6, overhead*100, pairs)
 	// 5% is the acceptance target on a quiet machine; 15% is the hard
 	// failure line so CI noise does not flake the suite.
 	if overhead > 0.15 {
 		t.Errorf("journal overhead %.1f%% exceeds the 15%% hard ceiling (target <=5%%)", overhead*100)
 	}
+}
+
+// median returns the median of xs, reordering xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

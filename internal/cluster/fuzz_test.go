@@ -17,10 +17,13 @@ import (
 // CI runs these in regression mode (seed corpus + testdata/fuzz entries);
 // `make fuzz` explores with the mutation engine.
 
-// FuzzJournalScan: scanJournal must never panic, must report a valid
-// prefix within bounds, and must be self-consistent — rescanning the valid
-// prefix reproduces the exact same outcome (this is what makes startup
-// truncation sound).
+// FuzzJournalScan: replay's scan — internal/segment's framing with the
+// journal's record decoder — must never panic, must report a valid prefix
+// within bounds, and must be self-consistent: rescanning the valid prefix
+// reproduces the exact same outcome (this is what makes startup
+// truncation sound). internal/segment's FuzzScan fuzzes the framing
+// alone; this adds the decoder's contract that only well-formed records
+// reach the fold.
 func FuzzJournalScan(f *testing.F) {
 	good, err := frameRecord(journalRecord{Type: recFinish, Job: 1})
 	if err != nil {

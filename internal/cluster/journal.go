@@ -1,11 +1,10 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +13,7 @@ import (
 
 	"ahs/internal/config"
 	"ahs/internal/mc"
+	"ahs/internal/segment"
 	"ahs/internal/telemetry"
 )
 
@@ -32,30 +32,20 @@ import (
 //	snapshot.wal   compacted prefix: the records of every live job
 //	journal.wal    append-only tail since the last compaction
 //
-// Both files are sequences of frames:
-//
-//	uint32-LE payload length | uint32-LE CRC-32C of payload | payload
-//
-// The payload is one JSON journalRecord. A torn write (partial frame at
-// the tail) or a corrupted frame fails its CRC and cuts the replay at the
-// last valid frame — records are applied completely or not at all, never
-// half-applied. Compaction folds the tail into a fresh snapshot via
-// write-to-temp + fsync + atomic rename, then resets the tail; replay is
-// idempotent (duplicate submits and chunks are skipped), so a crash
-// between those two steps at worst replays records twice, harmlessly.
+// Both files are internal/segment logs whose payloads are JSON
+// journalRecords. A torn write (partial frame at the tail) or a corrupted
+// frame fails its CRC and cuts the replay at the last valid frame —
+// records are applied completely or not at all, never half-applied.
+// Compaction atomically replaces the snapshot with the live jobs, then
+// resets the tail; replay is idempotent (duplicate submits and chunks are
+// skipped), so a crash between those two steps at worst replays records
+// twice, harmlessly.
 
 // Journal file names inside the journal directory.
 const (
 	journalSnapshotName = "snapshot.wal"
 	journalTailName     = "journal.wal"
 )
-
-// maxJournalRecord bounds one frame's payload. Chunk states are kilobytes;
-// anything near this bound is corruption, not data.
-const maxJournalRecord = 64 << 20
-
-// crcTable is the Castagnoli polynomial table shared by all frames.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Journal record types.
 const (
@@ -126,10 +116,10 @@ type Journal struct {
 	metrics *journalMetrics
 
 	mu       sync.Mutex
-	tail     *os.File
+	tail     *segment.Log
 	jobs     map[uint64]*journalJob
-	replayed int // CRC-valid records recovered at open
-	dropped  int // torn/corrupt frames cut at open
+	replayed int // records recovered at open
+	dropped  int // CRC-valid but undecodable frames skipped at open
 	appends  int // records appended since the last compaction
 	closed   bool
 
@@ -194,83 +184,58 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	j.metrics = newJournalMetrics(cfg.Telemetry, j)
 
 	// Replay snapshot first (the compacted prefix), then the tail.
-	if err := j.replayFile(filepath.Join(cfg.Dir, journalSnapshotName), false); err != nil {
-		return nil, err
+	snapPath := filepath.Join(cfg.Dir, journalSnapshotName)
+	data, err := os.ReadFile(snapPath)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("cluster: read journal %s: %w", snapPath, err)
 	}
+	_, j.dropped = segment.Scan(data, j.replayFrame)
 	tailPath := filepath.Join(cfg.Dir, journalTailName)
-	if err := j.replayFile(tailPath, true); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(tailPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	tail, sc, err := segment.Open(tailPath, cfg.NoSync, j.replayFrame)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: open journal tail: %w", err)
 	}
-	j.tail = f
+	j.tail = tail
+	j.dropped += sc.Skipped
+	j.metrics.replay(j.replayed, j.dropped)
+	if sc.Cut > 0 {
+		cfg.Logf("cluster: journal %s: dropped %d torn/corrupt trailing bytes", tailPath, sc.Cut)
+	}
 	if j.replayed > 0 || j.dropped > 0 {
-		cfg.Logf("cluster: journal %s replayed %d records (%d torn/corrupt dropped), %d live jobs",
+		cfg.Logf("cluster: journal %s replayed %d records (%d undecodable skipped), %d live jobs",
 			cfg.Dir, j.replayed, j.dropped, len(j.liveJobsLocked()))
 	}
 	return j, nil
 }
 
-// replayFile folds one journal file into the in-memory state. When
-// truncate is set, the file is cut back to its last CRC-valid frame so new
-// appends never follow garbage.
-func (j *Journal) replayFile(path string, truncate bool) error {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+// encodeRecord is the journal's record codec: a record's frame payload.
+func encodeRecord(rec journalRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("cluster: read journal %s: %w", path, err)
+		return nil, fmt.Errorf("cluster: encode journal record: %w", err)
 	}
-	valid, records, dropped := scanJournal(data)
-	for _, rec := range records {
-		j.fold(rec)
-	}
-	j.replayed += len(records)
-	j.dropped += dropped
-	j.metrics.replay(len(records), dropped)
-	if truncate && valid < int64(len(data)) {
-		j.cfg.Logf("cluster: journal %s: dropping %d torn/corrupt trailing bytes", path, int64(len(data))-valid)
-		if err := os.Truncate(path, valid); err != nil {
-			return fmt.Errorf("cluster: truncate journal %s: %w", path, err)
-		}
-	}
-	return nil
+	return payload, nil
 }
 
-// scanJournal walks framed records from data, returning the byte length of
-// the valid prefix, the decoded records, and the count of frames dropped
-// for CRC/JSON corruption. Scanning stops at the first torn or CRC-invalid
-// frame: everything after it is unreachable (frame boundaries are lost).
-func scanJournal(data []byte) (valid int64, records []journalRecord, dropped int) {
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return off, records, dropped
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxJournalRecord || int64(n) > int64(len(rest)-8) {
-			return off, records, dropped
-		}
-		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, records, dropped
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || !rec.wellFormed() {
-			// CRC-valid but semantically broken: skip the frame, keep
-			// scanning — the framing is still intact past it.
-			dropped++
-		} else {
-			records = append(records, rec)
-		}
-		off += 8 + int64(n)
-		valid = off
+// decodeRecord is encodeRecord's inverse; it rejects payloads that are not
+// a well-formed record.
+func decodeRecord(payload []byte) (journalRecord, bool) {
+	var rec journalRecord
+	if err := json.Unmarshal(payload, &rec); err != nil || !rec.wellFormed() {
+		return rec, false
 	}
+	return rec, true
+}
+
+// replayFrame is the replay decoder: it folds one well-formed record into
+// the job state and rejects any other payload.
+func (j *Journal) replayFrame(fr segment.Frame) bool {
+	rec, ok := decodeRecord(fr.Payload)
+	if ok {
+		j.fold(rec)
+		j.replayed++
+	}
+	return ok
 }
 
 // wellFormed checks the per-type field invariants a writer maintains, so
@@ -317,27 +282,11 @@ func (j *Journal) fold(rec journalRecord) {
 	}
 }
 
-// frameRecord encodes one record as a CRC frame ready to write.
-func frameRecord(rec journalRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode journal record: %w", err)
-	}
-	if len(payload) > maxJournalRecord {
-		return nil, fmt.Errorf("cluster: journal record of %d bytes exceeds frame limit", len(payload))
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
-	return frame, nil
-}
-
-// append frames, writes and (unless NoSync) fsyncs one record, folds it
-// into the in-memory state, and compacts when the tail has grown past
-// CompactEvery records. The record is durable when append returns.
+// append writes and (unless NoSync) fsyncs one record, folds it into the
+// in-memory state, and compacts when the tail has grown past CompactEvery
+// records. The record is durable when append returns.
 func (j *Journal) append(rec journalRecord) error {
-	frame, err := frameRecord(rec)
+	payload, err := encodeRecord(rec)
 	if err != nil {
 		return err
 	}
@@ -347,17 +296,15 @@ func (j *Journal) append(rec journalRecord) error {
 	if j.closed {
 		return errors.New("cluster: journal closed")
 	}
-	if _, err := j.tail.Write(frame); err != nil {
-		return fmt.Errorf("cluster: journal write: %w", err)
+	fr, err := j.tail.Append(payload, nil)
+	if err != nil {
+		return fmt.Errorf("cluster: journal append: %w", err)
 	}
 	if !j.cfg.NoSync {
-		if err := j.tail.Sync(); err != nil {
-			return fmt.Errorf("cluster: journal fsync: %w", err)
-		}
-		j.metrics.fsynced()
+		j.metrics.fsynced(1)
 	}
 	j.fold(rec)
-	j.metrics.appended(len(frame))
+	j.metrics.appended(int(fr.Size()))
 	j.appends++
 	if j.appends >= j.cfg.CompactEvery {
 		if err := j.compactLocked(); err != nil {
@@ -376,60 +323,46 @@ func (j *Journal) append(rec journalRecord) error {
 // crash anywhere in between at worst replays the old tail on top of the
 // new snapshot.
 func (j *Journal) compactLocked() error {
-	snapPath := filepath.Join(j.cfg.Dir, journalSnapshotName)
-	tmpPath := snapPath + ".tmp"
-	tmp, err := os.Create(tmpPath)
+	err := segment.Rewrite(filepath.Join(j.cfg.Dir, journalSnapshotName), func(w io.Writer) error {
+		for _, job := range j.liveJobsLocked() {
+			records := []journalRecord{job.submit}
+			starts := make([]uint64, 0, len(job.chunks))
+			for s := range job.chunks {
+				starts = append(starts, s)
+			}
+			sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
+			for _, s := range starts {
+				records = append(records, journalRecord{Type: recChunk, Job: job.id, State: job.chunks[s]})
+			}
+			if job.finished {
+				records = append(records, journalRecord{Type: recFinish, Job: job.id, Error: job.finishErr})
+			}
+			for _, rec := range records {
+				payload, err := encodeRecord(rec)
+				if err != nil {
+					return err
+				}
+				frame, err := segment.Encode(payload)
+				if err != nil {
+					return err
+				}
+				if _, err := w.Write(frame); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}, nil)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmpPath)
-	for _, job := range j.liveJobsLocked() {
-		records := []journalRecord{job.submit}
-		starts := make([]uint64, 0, len(job.chunks))
-		for s := range job.chunks {
-			starts = append(starts, s)
-		}
-		sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
-		for _, s := range starts {
-			records = append(records, journalRecord{Type: recChunk, Job: job.id, State: job.chunks[s]})
-		}
-		if job.finished {
-			records = append(records, journalRecord{Type: recFinish, Job: job.id, Error: job.finishErr})
-		}
-		for _, rec := range records {
-			frame, err := frameRecord(rec)
-			if err != nil {
-				tmp.Close()
-				return err
-			}
-			if _, err := tmp.Write(frame); err != nil {
-				tmp.Close()
-				return err
-			}
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, snapPath); err != nil {
-		return err
-	}
-	syncDir(j.cfg.Dir)
+	// segment.Rewrite fsyncs the new snapshot and its directory.
+	j.metrics.fsynced(2)
 
 	// Reset the tail: everything it held is now in the snapshot.
-	tailPath := filepath.Join(j.cfg.Dir, journalTailName)
-	if err := j.tail.Close(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(tailPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := j.tail.Reset(); err != nil {
 		return fmt.Errorf("cluster: reset journal tail: %w", err)
 	}
-	j.tail = f
 	j.appends = 0
 	j.compactions++
 	j.lastCompact = time.Now()
@@ -494,7 +427,7 @@ func (j *Journal) Sync() error {
 	if err := j.tail.Sync(); err != nil {
 		return err
 	}
-	j.metrics.fsynced()
+	j.metrics.fsynced(1)
 	return nil
 }
 
@@ -512,18 +445,6 @@ func (j *Journal) Close() error {
 		return err
 	}
 	return j.tail.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed file durably appears in it.
-// Best-effort: some filesystems refuse directory fsync, and the rename is
-// already atomic.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }
 
 // journalMetrics holds the ahs_journal_* families; nil (no registry)
@@ -564,7 +485,7 @@ func newJournalMetrics(reg *telemetry.Registry, j *Journal) *journalMetrics {
 		}),
 		droppedRec: reg.Counter(telemetry.Opts{
 			Name: "ahs_journal_dropped_records_total",
-			Help: "Torn or corrupt journal frames dropped by replay.",
+			Help: "CRC-valid journal frames that failed to decode, skipped by replay.",
 		}),
 	}
 	reg.GaugeFunc(telemetry.Opts{
@@ -585,9 +506,9 @@ func (m *journalMetrics) appended(frameBytes int) {
 	}
 }
 
-func (m *journalMetrics) fsynced() {
+func (m *journalMetrics) fsynced(n uint64) {
 	if m != nil {
-		m.fsyncs.Inc()
+		m.fsyncs.Add(n)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +12,30 @@ import (
 	"ahs/internal/config"
 	"ahs/internal/core"
 	"ahs/internal/mc"
+	"ahs/internal/segment"
 )
+
+// frameRecord encodes one record as the journal frames it on disk.
+func frameRecord(rec journalRecord) ([]byte, error) {
+	payload, err := encodeRecord(rec)
+	if err != nil {
+		return nil, err
+	}
+	return segment.Encode(payload)
+}
+
+// scanJournal decodes a journal file's bytes the way replay does: the
+// valid prefix length, the well-formed records and the skipped count.
+func scanJournal(data []byte) (valid int64, records []journalRecord, dropped int) {
+	valid, dropped = segment.Scan(data, func(fr segment.Frame) bool {
+		rec, ok := decodeRecord(fr.Payload)
+		if ok {
+			records = append(records, rec)
+		}
+		return ok
+	})
+	return valid, records, dropped
+}
 
 // journalFrames builds the framed journal bytes for a real, completed run
 // of sc: submit, one chunk record per shard (simulated for real, so the
@@ -268,10 +290,10 @@ func TestJournalCorruptFrameCutsReplay(t *testing.T) {
 // without cutting the records after it — the framing is still intact.
 func TestJournalMalformedRecordSkipped(t *testing.T) {
 	frame := func(payload []byte) []byte {
-		f := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(f[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(f[4:8], crc32.Checksum(payload, crcTable))
-		copy(f[8:], payload)
+		f, err := segment.Encode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return f
 	}
 	good, err := frameRecord(journalRecord{Type: recFinish, Job: 3})

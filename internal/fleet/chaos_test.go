@@ -141,8 +141,10 @@ func (m *chaosMember) kill() {
 	m.srv.Close()
 }
 
-// work processes one scenario: dedup against the store, claim, evaluate,
-// persist. A killPanic from an armed fault site turns into kill().
+// work processes one scenario the way the service's submit path does:
+// dedup against the store, claim, re-check the store under the claim (a
+// peer may have persisted and released in between), evaluate, persist. A
+// killPanic from an armed fault site turns into kill().
 func (m *chaosMember) work(t *testing.T, raw json.RawMessage) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -164,6 +166,10 @@ func (m *chaosMember) work(t *testing.T, raw json.RawMessage) {
 	}
 	acquired, _, err := m.node.TryClaim(sc.Name, raw)
 	if err != nil || !acquired {
+		return
+	}
+	if m.store.Has(sc.Name) {
+		m.node.Release(sc.Name)
 		return
 	}
 	m.mu.Lock()
@@ -239,12 +245,20 @@ func TestFleetChaosSchedules(t *testing.T) {
 			go survivor.run(ctx, t, &wg)
 
 			// Clients submit through both instances, interleaved — the
-			// claims table is the only thing preventing double work. The
+			// claims table is the only thing preventing double work. Which
+			// instance hears of a scenario first alternates: the Go
+			// scheduler tends to run the most recently woken goroutine
+			// first, so a fixed order would hand nearly every claim race
+			// to one member and starve the other's fault sites. The
 			// writer periodically compacts, giving the mid-compaction
 			// schedule its fault site.
 			for i, raw := range scenarios {
-				writer.queue <- raw
-				survivor.queue <- raw
+				first, second := writer, survivor
+				if i%2 == 1 {
+					first, second = survivor, writer
+				}
+				first.queue <- raw
+				second.queue <- raw
 				if i%5 == 4 && !writer.dead.Load() {
 					func() {
 						defer func() {

@@ -1,15 +1,16 @@
 package resultstore
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"ahs/internal/segment"
 )
 
 // The claims region of a store directory fences duplicate evaluation
@@ -28,13 +29,13 @@ import (
 //	epoch         the persisted fencing epoch, advanced on writer promotion
 //	writer.json   the current writer's heartbeat (owner, URL, epoch, expiry)
 //
-// claims.seg shares results.seg's frame discipline (uint32-LE length |
-// uint32-LE CRC-32C | JSON payload) but not its single-writer rule: every
-// fleet member appends claims. Mutual exclusion is per operation — take
-// the flock on claims.lock, reconcile the in-memory index with the file
-// (including truncating a torn tail a crashed appender left), append, and
-// release. flock dies with the process, so a member crashing inside an
-// operation can never wedge the region.
+// claims.seg is an internal/segment log of JSON claim records, like
+// results.seg, but without its single-writer rule: every fleet member
+// appends claims. Mutual exclusion is per operation — take the flock on
+// claims.lock, reconcile the in-memory index with the file (including
+// truncating a torn tail a crashed appender left), append, and release.
+// flock dies with the process, so a member crashing inside an operation
+// can never wedge the region.
 //
 // The epoch file is the fencing authority: it only ever increases, and it
 // only changes under the results-segment writer flock (at startup and at
@@ -105,14 +106,11 @@ type ClaimsConfig struct {
 	// compaction (default 256): once more than this many dead records
 	// exist and they outnumber live claims, the segment is rewritten.
 	CompactMinRecords int
-	// NoSync skips the per-append fsync (benchmarks only).
-	NoSync bool
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// Hook, when non-nil, is called at named internal sites
-	// ("claims.pre-append", "claims.post-append", "claims.pre-sync",
-	// "claims.compact.pre-rename") while the claims flock is held; chaos
-	// tests crash a member there. Production leaves it nil.
+	// Hook, when non-nil, is called at the named internal site
+	// "claims.post-append" while the claims flock is held; chaos tests
+	// crash a member there. Production leaves it nil.
 	Hook func(site string)
 }
 
@@ -122,13 +120,12 @@ type ClaimsConfig struct {
 type Claims struct {
 	cfg ClaimsConfig
 
-	mu      sync.Mutex
-	seg     *os.File
-	index   map[string]ClaimState
-	scanned int64
-	live    int
-	dead    int // superseded/released record count since last compaction
-	closed  bool
+	mu     sync.Mutex
+	seg    *segment.Log // opened under the flock by the first operation
+	index  map[string]ClaimState
+	live   int
+	dead   int // superseded/released record count since last compaction
+	closed bool
 }
 
 // OpenClaims opens (creating if needed) the claims region of dir. Unlike
@@ -150,50 +147,17 @@ func OpenClaims(cfg ClaimsConfig) (*Claims, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: claims dir: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(cfg.Dir, claimsSegName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("resultstore: open claims segment: %w", err)
-	}
-	c := &Claims{cfg: cfg, seg: f, index: make(map[string]ClaimState)}
-	return c, nil
+	return &Claims{cfg: cfg, index: make(map[string]ClaimState)}, nil
 }
 
-// ScannedClaim is one valid frame found by ScanClaims.
-type ScannedClaim struct {
-	Record claimRecord
-	Off    int64
-	Size   int64
-}
-
-// ScanClaims walks framed claim records, returning the valid prefix
-// length, the decoded records in order, and the count of CRC-valid but
-// undecodable frames skipped. Scanning stops at the first torn or
-// CRC-invalid frame. Exported for the fuzz target.
-func ScanClaims(data []byte) (valid int64, records []ScannedClaim, skipped int) {
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return off, records, skipped
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxRecord || int64(n) > int64(len(rest)-8) {
-			return off, records, skipped
-		}
-		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, records, skipped
-		}
-		var rec claimRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" || rec.Owner == "" || rec.Op == "" {
-			skipped++
-		} else {
-			records = append(records, ScannedClaim{Record: rec, Off: off, Size: 8 + int64(n)})
-		}
-		off += 8 + int64(n)
-		valid = off
+// decodeClaim is the claims segment's record codec: it rejects payloads
+// that are not a claim record naming key, owner and op.
+func decodeClaim(payload []byte) (claimRecord, bool) {
+	var rec claimRecord
+	if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" || rec.Owner == "" || rec.Op == "" {
+		return rec, false
 	}
+	return rec, true
 }
 
 // withLock runs fn with the cross-process claims flock held and the
@@ -219,49 +183,48 @@ func (c *Claims) withLock(fn func() error) error {
 }
 
 // reconcileLocked brings the index up to date with the segment file; the
-// claims flock and c.mu must be held.
+// claims flock and c.mu must be held. It (re)opens the segment on first use
+// and after a peer compacted it, and cuts a torn tail a crashed peer left:
+// we hold the flock, so no live peer is mid-write.
 func (c *Claims) reconcileLocked() error {
-	segPath := filepath.Join(c.cfg.Dir, claimsSegName)
-	replaced, err := fileReplaced(c.seg, segPath)
-	if err != nil {
-		return err
-	}
-	if replaced {
-		f, err := os.OpenFile(segPath, os.O_CREATE|os.O_RDWR, 0o644)
+	if c.seg != nil {
+		replaced, err := c.seg.Replaced()
 		if err != nil {
-			return fmt.Errorf("resultstore: reopen claims segment: %w", err)
+			return err
+		}
+		if !replaced {
+			sc, err := c.seg.CatchUp(c.applyFrame)
+			c.logCut(sc)
+			return err
 		}
 		c.seg.Close()
-		c.seg = f
+		c.seg = nil
 		c.index = make(map[string]ClaimState)
-		c.scanned, c.live, c.dead = 0, 0, 0
+		c.live, c.dead = 0, 0
 	}
-	size, err := c.seg.Seek(0, 2)
+	seg, sc, err := segment.Open(filepath.Join(c.cfg.Dir, claimsSegName), false, c.applyFrame)
 	if err != nil {
-		return fmt.Errorf("resultstore: seek claims segment: %w", err)
+		return fmt.Errorf("resultstore: open claims segment: %w", err)
 	}
-	if size > c.scanned {
-		data := make([]byte, size-c.scanned)
-		if _, err := c.seg.ReadAt(data, c.scanned); err != nil {
-			return fmt.Errorf("resultstore: read claims segment: %w", err)
-		}
-		valid, recs, _ := ScanClaims(data)
-		for _, r := range recs {
-			c.applyLocked(r.Record)
-		}
-		c.scanned += valid
-		if c.scanned < size {
-			// A peer crashed mid-append: cut its torn frame so our append
-			// never lands after garbage. We hold the flock, so no live
-			// peer is mid-write.
-			cut := size - c.scanned
-			c.cfg.Logf("resultstore: claims: dropping %d torn trailing bytes", cut)
-			if err := c.seg.Truncate(c.scanned); err != nil {
-				return fmt.Errorf("resultstore: truncate claims segment: %w", err)
-			}
-		}
-	}
+	c.seg = seg
+	c.logCut(sc)
 	return nil
+}
+
+// applyFrame is the segment decoder: it folds one claim record into the
+// index and rejects any other payload.
+func (c *Claims) applyFrame(fr segment.Frame) bool {
+	rec, ok := decodeClaim(fr.Payload)
+	if ok {
+		c.applyLocked(rec)
+	}
+	return ok
+}
+
+func (c *Claims) logCut(sc segment.Scanned) {
+	if sc.Cut > 0 {
+		c.cfg.Logf("resultstore: claims: dropping %d torn trailing bytes", sc.Cut)
+	}
 }
 
 // applyLocked folds one record into the index.
@@ -301,28 +264,16 @@ func (c *Claims) applyLocked(rec claimRecord) {
 	}
 }
 
-// appendLocked frames and appends one record; the claims flock and c.mu
-// must be held (reconcileLocked already ran).
+// appendLocked appends one record; the claims flock and c.mu must be held
+// (reconcileLocked already ran).
 func (c *Claims) appendLocked(rec claimRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("resultstore: encode claim: %w", err)
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
-	c.hook("claims.pre-append")
-	if _, err := c.seg.WriteAt(frame, c.scanned); err != nil {
+	if _, err := c.seg.Append(payload, nil); err != nil {
 		return fmt.Errorf("resultstore: claims append: %w", err)
 	}
-	c.hook("claims.pre-sync")
-	if !c.cfg.NoSync {
-		if err := c.seg.Sync(); err != nil {
-			return fmt.Errorf("resultstore: claims fsync: %w", err)
-		}
-	}
-	c.scanned += int64(len(frame))
 	c.applyLocked(rec)
 	c.hook("claims.post-append")
 	if c.dead > c.cfg.CompactMinRecords && c.dead > c.live {
@@ -457,62 +408,36 @@ func (c *Claims) Len() int {
 
 // compactLocked rewrites live claims into a fresh segment under the held
 // flock, dropping released and superseded records. Peers detect the
-// rename through fileReplaced on their next operation.
+// rename through Replaced on their next operation.
 func (c *Claims) compactLocked() error {
-	segPath := filepath.Join(c.cfg.Dir, claimsSegName)
-	tmpPath := segPath + ".tmp"
-	tmp, err := os.Create(tmpPath)
+	err := c.seg.Rewrite(func(w io.Writer) error {
+		for _, st := range c.index {
+			payload, err := json.Marshal(claimRecord{
+				Key:      st.Key,
+				Owner:    st.Owner,
+				URL:      st.URL,
+				Epoch:    st.Epoch,
+				Op:       opClaim,
+				Expires:  st.Expires.UnixNano(),
+				Scenario: st.Scenario,
+			})
+			if err != nil {
+				return err
+			}
+			frame, err := segment.Encode(payload)
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(frame); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmpPath)
-	var off int64
-	for _, st := range c.index {
-		rec := claimRecord{
-			Key:      st.Key,
-			Owner:    st.Owner,
-			URL:      st.URL,
-			Epoch:    st.Epoch,
-			Op:       opClaim,
-			Expires:  st.Expires.UnixNano(),
-			Scenario: st.Scenario,
-		}
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		frame := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-		copy(frame[8:], payload)
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return err
-		}
-		off += int64(len(frame))
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	c.hook("claims.compact.pre-rename")
-	if err := os.Rename(tmpPath, segPath); err != nil {
-		return err
-	}
-	syncDir(c.cfg.Dir)
-	f, err := os.OpenFile(segPath, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("resultstore: reopen compacted claims segment: %w", err)
-	}
-	c.seg.Close()
-	c.seg = f
-	// Rebuild state from the rewrite: the index is unchanged, only
-	// geometry moved.
-	c.scanned = off
+	// The index is unchanged; only the records behind it were rewritten.
 	c.live = len(c.index)
 	c.dead = 0
 	c.cfg.Logf("resultstore: compacted claims on %s to %d live claims", c.cfg.Dir, c.live)
@@ -528,6 +453,9 @@ func (c *Claims) Close() error {
 		return nil
 	}
 	c.closed = true
+	if c.seg == nil {
+		return nil
+	}
 	return c.seg.Close()
 }
 
@@ -541,7 +469,9 @@ func (c *Claims) Abandon() {
 		return
 	}
 	c.closed = true
-	c.seg.Close()
+	if c.seg != nil {
+		c.seg.Close()
+	}
 }
 
 // hook fires the configured fault-site hook, if any.
@@ -590,7 +520,7 @@ func AdvanceEpoch(dir, owner string) (uint64, error) {
 	}
 	next := cur + 1
 	doc := epochDoc{Epoch: next, Owner: owner, Advanced: time.Now().UTC().Format(time.RFC3339Nano)}
-	if err := writeFileAtomic(dir, epochName, doc); err != nil {
+	if err := writeJSON(dir, epochName, doc); err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -615,7 +545,7 @@ func (w WriterInfo) Expired(now time.Time) bool {
 
 // WriteWriterInfo atomically rewrites dir's writer heartbeat.
 func WriteWriterInfo(dir string, info WriterInfo) error {
-	return writeFileAtomic(dir, writerInfoName, info)
+	return writeJSON(dir, writerInfoName, info)
 }
 
 // ReadWriterInfo reads dir's writer heartbeat; ok is false when no writer
@@ -635,32 +565,14 @@ func ReadWriterInfo(dir string) (WriterInfo, bool, error) {
 	return info, true, nil
 }
 
-// writeFileAtomic writes v as JSON to dir/name via tmp + fsync + rename.
-func writeFileAtomic(dir, name string, v any) error {
+// writeJSON atomically replaces dir/name with v's JSON encoding.
+func writeJSON(dir, name string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
+	return segment.Rewrite(filepath.Join(dir, name), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmpPath := tmp.Name()
-	defer os.Remove(tmpPath)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
+	}, nil)
 }

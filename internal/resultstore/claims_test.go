@@ -5,11 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"ahs/internal/segment"
 )
 
 func openClaims(t *testing.T, dir, owner string, cfg ClaimsConfig) *Claims {
@@ -28,6 +29,19 @@ func openClaims(t *testing.T, dir, owner string, cfg ClaimsConfig) *Claims {
 }
 
 const testTTL = time.Minute
+
+// scanClaims decodes a claims segment's bytes the way reconciliation
+// does: the valid prefix length, the claim records and the skipped count.
+func scanClaims(data []byte) (valid int64, records []claimRecord, skipped int) {
+	valid, skipped = segment.Scan(data, func(fr segment.Frame) bool {
+		rec, ok := decodeClaim(fr.Payload)
+		if ok {
+			records = append(records, rec)
+		}
+		return ok
+	})
+	return valid, records, skipped
+}
 
 // TestClaimLifecycle covers the basic protocol: acquire, contend, renew,
 // release, re-acquire — across two handles on one directory, which is the
@@ -183,7 +197,7 @@ func TestClaimsTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid, recs, skipped := ScanClaims(data)
+	valid, recs, skipped := scanClaims(data)
 	if valid != int64(len(data)) || skipped != 0 {
 		t.Errorf("segment still torn after repair: valid %d of %d bytes, %d skipped", valid, len(data), skipped)
 	}
@@ -196,6 +210,52 @@ func TestClaimsTornTailTruncated(t *testing.T) {
 	snap, err := c.Snapshot()
 	if err != nil || len(snap) != 2 {
 		t.Fatalf("Snapshot = %d claims, err=%v; want 2", len(snap), err)
+	}
+}
+
+// TestClaimsUndecodableFrameSkipped: a CRC-valid frame that is not a claim
+// record (here, one missing its owner) is skipped and counted without
+// cutting the claims after it — the framing past it is still intact.
+func TestClaimsUndecodableFrameSkipped(t *testing.T) {
+	dir := t.TempDir()
+	var data []byte
+	for _, payload := range []string{
+		`{"key":"hash-1","op":"claim"}`,
+		`{"key":"hash-2","owner":"node-a","url":"http://a","epoch":1,"op":"claim","expires":1754600000000000000}`,
+	} {
+		frame, err := segment.Encode([]byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, frame...)
+	}
+	valid, recs, skipped := scanClaims(data)
+	if valid != int64(len(data)) || skipped != 1 || len(recs) != 1 || recs[0].Key != "hash-2" {
+		t.Fatalf("scan = (%d of %d bytes, %d records, %d skipped), want the whole file, hash-2 only, 1 skipped",
+			valid, len(data), len(recs), skipped)
+	}
+	if err := os.WriteFile(filepath.Join(dir, claimsSegName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := openClaims(t, dir, "node-b", ClaimsConfig{})
+	snap, err := c.Snapshot()
+	if err != nil || len(snap) != 1 {
+		t.Fatalf("Snapshot = %+v, err=%v; want just hash-2", snap, err)
+	}
+	if st, ok, _ := c.Get("hash-2"); !ok || st.Owner != "node-a" || st.URL != "http://a" {
+		t.Fatalf("claim after the skipped frame = %+v, %v", st, ok)
+	}
+	// Appends continue after the skipped frame, which stays on disk.
+	if _, _, err := c.Acquire("hash-3", 1, testTTL, nil); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, claimsSegName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, recs, skipped := scanClaims(after); len(recs) != 2 || skipped != 1 {
+		t.Errorf("segment holds %d records and %d skipped frames, want 2 and 1", len(recs), skipped)
 	}
 }
 
@@ -432,7 +492,7 @@ func TestPromoteAdoptsDirtyDir(t *testing.T) {
 	}
 	torn := make([]byte, 10)
 	binary.LittleEndian.PutUint32(torn[0:4], 500)
-	binary.LittleEndian.PutUint32(torn[4:8], crc32.Checksum([]byte("x"), crcTable))
+	binary.LittleEndian.PutUint32(torn[4:8], segment.Checksum([]byte("x")))
 	if _, err := f.Write(torn); err != nil {
 		t.Fatal(err)
 	}

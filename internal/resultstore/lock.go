@@ -116,21 +116,3 @@ func releaseLock(f *os.File) {
 	syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
 	f.Close()
 }
-
-// fileReplaced reports whether the file at path is no longer the one f has
-// open — i.e. the writer compacted and renamed a new segment over it. The
-// comparison is by (device, inode), the identity a rename changes.
-func fileReplaced(f *os.File, path string) (bool, error) {
-	held, err := f.Stat()
-	if err != nil {
-		return false, fmt.Errorf("resultstore: stat held segment: %w", err)
-	}
-	now, err := os.Stat(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil // transient: mid-rename; next Refresh settles it
-		}
-		return false, fmt.Errorf("resultstore: stat segment: %w", err)
-	}
-	return !os.SameFile(held, now), nil
-}

@@ -16,23 +16,17 @@
 //	results.seg   append-only segment of framed records
 //	LOCK          flock'd by the single writer; absent/ignored for readers
 //
-// The segment is a sequence of frames sharing the cluster journal's
-// discipline:
-//
-//	uint32-LE payload length | uint32-LE CRC-32C of payload | payload
-//
-// The payload is one JSON record {key, value}. A torn write (partial frame
-// at the tail) or a CRC-invalid frame cuts the scan at the last valid
-// frame; the writer truncates the tail there on open, so appends never
-// follow garbage. A CRC-valid frame that fails to decode is skipped and
-// counted — the framing past it is still intact.
+// results.seg is an internal/segment log (framing, torn-tail and
+// corruption rules are documented there) whose payloads are JSON records
+// {key, value}. The writer cuts a torn tail on open, so appends never
+// follow garbage; a CRC-valid frame that is not a record is skipped and
+// counted.
 //
 // A re-Put of an existing key appends a superseding record; the in-memory
 // index always points at the newest. Superseded records are dead bytes,
-// reclaimed by compaction: live records are rewritten to a temporary
-// segment in ascending offset order, fsync'd, and atomically renamed over
-// the old one. A crash between those steps leaves either the old or the
-// new segment, both complete.
+// reclaimed by compaction: live records are rewritten in insertion order
+// and the new segment atomically replaces the old one, so a crash leaves
+// either the old or the new segment, both complete.
 //
 // Exactly one writer may own a directory at a time, enforced with a
 // non-blocking flock on the LOCK file (released by the kernel on any
@@ -43,18 +37,17 @@
 package resultstore
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"ahs/internal/segment"
 	"ahs/internal/telemetry"
 )
 
@@ -63,14 +56,6 @@ const (
 	segmentName = "results.seg"
 	lockName    = "LOCK"
 )
-
-// maxRecord bounds one frame's payload. Curves are kilobytes; anything
-// near this bound is corruption, not data.
-const maxRecord = 64 << 20
-
-// crcTable is the Castagnoli polynomial table shared by all frames, the
-// same polynomial as the cluster journal.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Sentinel errors.
 var (
@@ -113,10 +98,9 @@ type Config struct {
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// Hook, when non-nil, is called at named internal sites
-	// ("put.pre-sync", "put.post-sync", "compact.pre-rename",
-	// "compact.post-rename") while the store mutex is held. The chaos
-	// harness arms faultinject tripwires on it to crash a writer at
-	// precisely scheduled points; production leaves it nil.
+	// ("put.pre-sync", "compact.pre-rename") while the store mutex is
+	// held. The chaos harness arms faultinject tripwires on it to crash a
+	// writer at precisely scheduled points; production leaves it nil.
 	Hook func(site string)
 }
 
@@ -128,8 +112,6 @@ const defaultMaxStale = 2 * time.Second
 type recordLoc struct {
 	off   int64 // frame start offset
 	size  int64 // framed size (header + payload)
-	vOff  int64 // value offset within the payload, for direct reads
-	vLen  int64
 	crc   uint32
 	order int // insertion order, preserved by compaction
 }
@@ -147,11 +129,10 @@ type Store struct {
 	metrics *storeMetrics
 
 	mu       sync.Mutex
-	readOnly bool     // current role; flips on Promote
-	seg      *os.File // writer: O_APPEND handle; follower: read handle
-	lock     *os.File // held flock'd for the store's lifetime (writer only)
+	readOnly bool         // current role; flips on Promote
+	seg      *segment.Log // writable for the writer; nil until a follower sees the file
+	lock     *os.File     // held flock'd for the store's lifetime (writer only)
 	index    map[string]recordLoc
-	scanned  int64 // byte length of the scanned valid prefix
 	dead     int64 // bytes owned by superseded records
 	nextOrd  int
 	closed   bool
@@ -223,48 +204,14 @@ func Open(cfg Config) (*Store, error) {
 		}
 		s.lock = lock
 	}
-
-	segPath := filepath.Join(cfg.Dir, segmentName)
-	mode := os.O_RDONLY
-	if !cfg.ReadOnly {
-		mode = os.O_CREATE | os.O_RDWR
-	}
-	f, err := os.OpenFile(segPath, mode, 0o644)
-	if errors.Is(err, os.ErrNotExist) && cfg.ReadOnly {
-		// A follower may open before the writer's first Put; Refresh will
-		// find the segment later.
-		f = nil
-	} else if err != nil {
+	if err := s.reindexLocked(!cfg.ReadOnly); err != nil {
 		s.release()
 		return nil, fmt.Errorf("resultstore: open segment: %w", err)
-	}
-	s.seg = f
-	if s.seg != nil {
-		if err := s.scanFrom(0); err != nil {
-			s.release()
-			return nil, err
-		}
-		if !cfg.ReadOnly {
-			size, err := s.seg.Seek(0, 2)
-			if err != nil {
-				s.release()
-				return nil, fmt.Errorf("resultstore: seek segment: %w", err)
-			}
-			if s.scanned < size {
-				cut := size - s.scanned
-				cfg.Logf("resultstore: %s: dropping %d torn/corrupt trailing bytes", segPath, cut)
-				if err := s.seg.Truncate(s.scanned); err != nil {
-					s.release()
-					return nil, fmt.Errorf("resultstore: truncate segment: %w", err)
-				}
-				s.truncated = cut
-			}
-		}
 	}
 	s.metrics = newStoreMetrics(cfg.Telemetry, s)
 	if len(s.index) > 0 || s.truncated > 0 {
 		cfg.Logf("resultstore: %s: %d results (%d segment bytes, %d dead), %d torn bytes cut",
-			cfg.Dir, len(s.index), s.scanned, s.dead, s.truncated)
+			cfg.Dir, len(s.index), s.sizeLocked(), s.dead, s.truncated)
 	}
 	return s, nil
 }
@@ -279,107 +226,71 @@ func (s *Store) release() {
 	}
 }
 
-// scanFrom folds segment frames in [start, EOF) into the index; s.mu is
-// not required during Open but must be held once the store is shared.
-func (s *Store) scanFrom(start int64) error {
-	size, err := s.seg.Seek(0, 2)
+// reindexLocked rebuilds the index from a fresh handle on the segment:
+// writable (cutting a torn tail) or, for a follower, read-only. A follower
+// whose writer has not created the segment yet keeps a nil handle. On
+// failure the previous handle and index stay in place.
+func (s *Store) reindexLocked(writable bool) error {
+	index, dead, nextOrd := s.index, s.dead, s.nextOrd
+	s.index, s.dead, s.nextOrd = make(map[string]recordLoc), 0, 0
+	path := filepath.Join(s.cfg.Dir, segmentName)
+	var seg *segment.Log
+	var sc segment.Scanned
+	var err error
+	if writable {
+		seg, sc, err = segment.Open(path, s.cfg.NoSync, s.indexFrame)
+	} else {
+		seg, sc, err = segment.Follow(path, s.indexFrame)
+	}
 	if err != nil {
-		return fmt.Errorf("resultstore: seek segment: %w", err)
-	}
-	if size <= start {
-		s.scanned = max64(s.scanned, start)
-		return nil
-	}
-	data := make([]byte, size-start)
-	if _, err := s.seg.ReadAt(data, start); err != nil {
-		return fmt.Errorf("resultstore: read segment: %w", err)
-	}
-	valid, recs, skipped := ScanSegment(data)
-	for _, r := range recs {
-		loc := recordLoc{
-			off:   start + r.Off,
-			size:  r.Size,
-			vOff:  r.ValueOff,
-			vLen:  r.ValueLen,
-			crc:   r.CRC,
-			order: s.nextOrd,
+		s.index, s.dead, s.nextOrd = index, dead, nextOrd
+		if !writable && errors.Is(err, os.ErrNotExist) {
+			return nil // the writer has not created the segment yet
 		}
-		s.nextOrd++
-		if old, ok := s.index[r.Key]; ok {
-			s.dead += old.size
-			loc.order = old.order // a supersede keeps its slot in the order
-			s.nextOrd--
-		}
-		s.index[r.Key] = loc
+		return err
 	}
-	s.skipped += skipped
-	s.scanned = start + valid
+	if s.seg != nil {
+		s.seg.Close()
+	}
+	s.seg = seg
+	s.skipped += sc.Skipped
+	if sc.Cut > 0 {
+		s.truncated += sc.Cut
+		s.cfg.Logf("resultstore: %s: dropped %d torn/corrupt trailing bytes", path, sc.Cut)
+	}
 	return nil
 }
 
-// ScannedRecord describes one valid frame found by ScanSegment, located
-// relative to the scanned buffer.
-type ScannedRecord struct {
-	Key      string
-	Off      int64 // frame start within the buffer
-	Size     int64 // framed size (8-byte header + payload)
-	ValueOff int64 // value start within the buffer
-	ValueLen int64
-	CRC      uint32
+// indexFrame is the segment decoder: it folds one {key, value} record
+// into the index and rejects any other payload.
+func (s *Store) indexFrame(fr segment.Frame) bool {
+	var rec segRecord
+	if err := json.Unmarshal(fr.Payload, &rec); err != nil || rec.Key == "" || len(rec.Value) == 0 {
+		return false
+	}
+	s.indexLocked(rec.Key, fr)
+	return true
 }
 
-// ScanSegment walks framed records from data, returning the byte length of
-// the valid prefix, the decoded record locations, and the count of frames
-// skipped for being CRC-valid but undecodable. Scanning stops at the first
-// torn or CRC-invalid frame: past it, frame boundaries are lost.
-func ScanSegment(data []byte) (valid int64, records []ScannedRecord, skipped int) {
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return off, records, skipped
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxRecord || int64(n) > int64(len(rest)-8) {
-			return off, records, skipped
-		}
-		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, records, skipped
-		}
-		var rec segRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" || len(rec.Value) == 0 {
-			// CRC-valid but semantically broken: skip the frame, keep
-			// scanning — the framing past it is still intact.
-			skipped++
-		} else {
-			// Locate the raw value bytes inside the payload so Get can read
-			// them back without re-framing.
-			vStart := valueOffset(payload, rec.Value)
-			records = append(records, ScannedRecord{
-				Key:      rec.Key,
-				Off:      off,
-				Size:     8 + int64(n),
-				ValueOff: off + 8 + vStart,
-				ValueLen: int64(len(rec.Value)),
-				CRC:      sum,
-			})
-		}
-		off += 8 + int64(n)
-		valid = off
+// indexLocked points key at fr, superseding any older record, which keeps
+// its slot in the insertion order.
+func (s *Store) indexLocked(key string, fr segment.Frame) {
+	loc := recordLoc{off: fr.Off, size: fr.Size(), crc: fr.CRC, order: s.nextOrd}
+	if old, ok := s.index[key]; ok {
+		s.dead += old.size
+		loc.order = old.order
+	} else {
+		s.nextOrd++
 	}
+	s.index[key] = loc
 }
 
-// valueOffset finds the offset of the raw value bytes within the payload.
-// RawMessage captures the value text verbatim, so a byte search always
-// finds it; an earlier byte-identical occurrence decodes to the same value,
-// so any match is a correct answer.
-func valueOffset(payload []byte, value json.RawMessage) int64 {
-	if i := bytes.Index(payload, value); i >= 0 {
-		return int64(i)
+// sizeLocked is the length of the segment's valid prefix.
+func (s *Store) sizeLocked() int64 {
+	if s.seg == nil {
+		return 0
 	}
-	return 0
+	return s.seg.End()
 }
 
 // Put stores value under key, superseding any previous record. The record
@@ -398,14 +309,6 @@ func (s *Store) Put(key string, value any) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: encode record: %w", err)
 	}
-	if len(payload) > maxRecord {
-		return fmt.Errorf("resultstore: record of %d bytes exceeds frame limit", len(payload))
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	crc := crc32.Checksum(payload, crcTable)
-	binary.LittleEndian.PutUint32(frame[4:8], crc)
-	copy(frame[8:], payload)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -415,41 +318,14 @@ func (s *Store) Put(key string, value any) error {
 	case s.readOnly:
 		return ErrReadOnly
 	}
-	off := s.scanned
-	if _, err := s.seg.WriteAt(frame, off); err != nil {
-		return fmt.Errorf("resultstore: segment write: %w", err)
+	fr, err := s.seg.Append(payload, func() { s.hook("put.pre-sync") })
+	if err != nil {
+		return fmt.Errorf("resultstore: segment append: %w", err)
 	}
-	s.hook("put.pre-sync")
-	if !s.cfg.NoSync {
-		if err := s.seg.Sync(); err != nil {
-			return fmt.Errorf("resultstore: segment fsync: %w", err)
-		}
-	}
-	s.hook("put.post-sync")
-	// Locate the raw value inside the payload just written, mirroring the
-	// scan, so Get and compaction see identical record geometry either way.
-	var rec segRecord
-	_ = json.Unmarshal(payload, &rec)
-	vStart := valueOffset(payload, rec.Value)
-	loc := recordLoc{
-		off:   off,
-		size:  int64(len(frame)),
-		vOff:  off + 8 + vStart,
-		vLen:  int64(len(rec.Value)),
-		crc:   crc,
-		order: s.nextOrd,
-	}
-	s.nextOrd++
-	if old, ok := s.index[key]; ok {
-		s.dead += old.size
-		loc.order = old.order
-		s.nextOrd--
-	}
-	s.index[key] = loc
-	s.scanned += int64(len(frame))
-	s.metrics.put(len(frame))
+	s.indexLocked(key, fr)
+	s.metrics.put(int(fr.Size()))
 
-	if s.dead >= s.cfg.CompactMinDead && s.dead > s.scanned-s.dead {
+	if s.dead >= s.cfg.CompactMinDead && s.dead > s.seg.End()-s.dead {
 		if err := s.compactLocked(); err != nil {
 			// A failed compaction loses nothing: the rename is atomic and
 			// the segment keeps growing. Log and carry on.
@@ -482,11 +358,11 @@ func (s *Store) Get(key string, value any) (bool, error) {
 		s.metrics.miss()
 		return false, nil
 	}
-	payload := make([]byte, loc.size-8)
-	if _, err := s.seg.ReadAt(payload, loc.off+8); err != nil {
+	payload := make([]byte, loc.size-segment.HeaderSize)
+	if _, err := s.seg.ReadAt(payload, loc.off+segment.HeaderSize); err != nil {
 		return false, fmt.Errorf("resultstore: read record: %w", err)
 	}
-	if crc32.Checksum(payload, crcTable) != loc.crc {
+	if segment.Checksum(payload) != loc.crc {
 		return false, fmt.Errorf("resultstore: record for %s failed CRC verification", key)
 	}
 	var rec segRecord
@@ -552,6 +428,10 @@ func (s *Store) Len() int {
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.keysLocked()
+}
+
+func (s *Store) keysLocked() []string {
 	keys := make([]string, 0, len(s.index))
 	for k := range s.index {
 		keys = append(keys, k)
@@ -578,36 +458,20 @@ func (s *Store) Refresh() error {
 // refreshLocked is Refresh with s.mu held.
 func (s *Store) refreshLocked() error {
 	s.lastRefresh = time.Now()
-	segPath := filepath.Join(s.cfg.Dir, segmentName)
-	if s.seg == nil {
-		f, err := os.Open(segPath)
-		if errors.Is(err, os.ErrNotExist) {
-			return nil // the writer has not created the segment yet
-		}
+	if s.seg != nil {
+		replaced, err := s.seg.Replaced()
 		if err != nil {
-			return fmt.Errorf("resultstore: open segment: %w", err)
+			return err
 		}
-		s.seg = f
-		return s.scanFrom(0)
-	}
-	replaced, err := fileReplaced(s.seg, segPath)
-	if err != nil {
-		return err
-	}
-	if replaced {
-		// The writer compacted: the held handle points at the old segment.
-		// Reopen and rebuild the index from scratch.
-		f, err := os.Open(segPath)
-		if err != nil {
-			return fmt.Errorf("resultstore: reopen segment: %w", err)
+		if !replaced {
+			sc, err := s.seg.CatchUp(s.indexFrame)
+			s.skipped += sc.Skipped
+			return err
 		}
-		s.seg.Close()
-		s.seg = f
-		s.index = make(map[string]recordLoc)
-		s.scanned, s.dead, s.nextOrd = 0, 0, 0
-		return s.scanFrom(0)
 	}
-	return s.scanFrom(s.scanned)
+	// First sight of the segment, or the writer compacted and the held
+	// handle points at the old file: rebuild the index from scratch.
+	return s.reindexLocked(false)
 }
 
 // Compact rewrites the segment keeping only the newest record per key.
@@ -626,79 +490,38 @@ func (s *Store) Compact() error {
 }
 
 // compactLocked rewrites live records, in stable insertion order, into a
-// temporary segment, fsyncs it, and atomically renames it over the old
-// one. Crash-safe: the rename is atomic and the new segment is durable
-// before the old one disappears.
+// new segment that atomically replaces the old one.
 func (s *Store) compactLocked() error {
-	segPath := filepath.Join(s.cfg.Dir, segmentName)
-	tmpPath := segPath + ".tmp"
-	tmp, err := os.Create(tmpPath)
+	newIndex := make(map[string]recordLoc, len(s.index))
+	err := s.seg.Rewrite(func(w io.Writer) error {
+		var off int64
+		for _, k := range s.keysLocked() {
+			loc := s.index[k]
+			frame := make([]byte, loc.size)
+			if _, err := s.seg.ReadAt(frame, loc.off); err != nil {
+				return fmt.Errorf("resultstore: compact read: %w", err)
+			}
+			if segment.Checksum(frame[segment.HeaderSize:]) != loc.crc {
+				return fmt.Errorf("resultstore: compact: record for %s failed CRC verification", k)
+			}
+			if _, err := w.Write(frame); err != nil {
+				return fmt.Errorf("resultstore: compact write: %w", err)
+			}
+			loc.off = off
+			newIndex[k] = loc
+			off += loc.size
+		}
+		return nil
+	}, func() { s.hook("compact.pre-rename") })
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmpPath)
-
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return s.index[keys[a]].order < s.index[keys[b]].order })
-
-	newIndex := make(map[string]recordLoc, len(keys))
-	var off int64
-	for _, k := range keys {
-		loc := s.index[k]
-		frame := make([]byte, loc.size)
-		if _, err := s.seg.ReadAt(frame, loc.off); err != nil {
-			tmp.Close()
-			return fmt.Errorf("resultstore: compact read: %w", err)
-		}
-		if crc32.Checksum(frame[8:], crcTable) != loc.crc {
-			tmp.Close()
-			return fmt.Errorf("resultstore: compact: record for %s failed CRC verification", k)
-		}
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return fmt.Errorf("resultstore: compact write: %w", err)
-		}
-		newIndex[k] = recordLoc{
-			off:   off,
-			size:  loc.size,
-			vOff:  off + (loc.vOff - loc.off),
-			vLen:  loc.vLen,
-			crc:   loc.crc,
-			order: loc.order,
-		}
-		off += loc.size
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	s.hook("compact.pre-rename")
-	if err := os.Rename(tmpPath, segPath); err != nil {
-		return err
-	}
-	s.hook("compact.post-rename")
-	syncDir(s.cfg.Dir)
-
-	// Swap the handle onto the new segment.
-	f, err := os.OpenFile(segPath, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("resultstore: reopen compacted segment: %w", err)
-	}
-	s.seg.Close()
-	s.seg = f
 	s.index = newIndex
-	s.scanned = off
 	s.dead = 0
 	s.compactions++
 	s.lastCompact = time.Now()
 	s.metrics.compacted()
-	s.cfg.Logf("resultstore: compacted %s to %d results, %d bytes", s.cfg.Dir, len(newIndex), off)
+	s.cfg.Logf("resultstore: compacted %s to %d results, %d bytes", s.cfg.Dir, len(newIndex), s.seg.End())
 	return nil
 }
 
@@ -710,7 +533,7 @@ func (s *Store) Stats() Stats {
 		Dir:            s.cfg.Dir,
 		ReadOnly:       s.readOnly,
 		Entries:        len(s.index),
-		SegmentBytes:   s.scanned,
+		SegmentBytes:   s.sizeLocked(),
 		DeadBytes:      s.dead,
 		Compactions:    s.compactions,
 		TruncatedBytes: s.truncated,
@@ -768,43 +591,16 @@ func (s *Store) Promote() error {
 	if err != nil {
 		return err
 	}
-	segPath := filepath.Join(s.cfg.Dir, segmentName)
-	f, err := os.OpenFile(segPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		releaseLock(lock)
-		return fmt.Errorf("resultstore: promote: open segment: %w", err)
-	}
 	// Rebuild the index from the file we now own: the held follower handle
 	// may point at a pre-compaction inode, and the dead writer may have
 	// appended past our last scan.
-	if s.seg != nil {
-		s.seg.Close()
-	}
-	s.seg = f
-	s.index = make(map[string]recordLoc)
-	s.scanned, s.dead, s.nextOrd = 0, 0, 0
-	if err := s.scanFrom(0); err != nil {
+	if err := s.reindexLocked(true); err != nil {
 		releaseLock(lock)
-		s.lock = nil
-		return err
-	}
-	size, err := s.seg.Seek(0, 2)
-	if err != nil {
-		releaseLock(lock)
-		return fmt.Errorf("resultstore: promote: seek segment: %w", err)
-	}
-	if s.scanned < size {
-		cut := size - s.scanned
-		s.cfg.Logf("resultstore: promote: dropping %d torn/corrupt trailing bytes left by the previous writer", cut)
-		if err := s.seg.Truncate(s.scanned); err != nil {
-			releaseLock(lock)
-			return fmt.Errorf("resultstore: promote: truncate segment: %w", err)
-		}
-		s.truncated += cut
+		return fmt.Errorf("resultstore: promote: open segment: %w", err)
 	}
 	s.lock = lock
 	s.readOnly = false
-	s.cfg.Logf("resultstore: promoted to writer on %s (%d results, %d segment bytes)", s.cfg.Dir, len(s.index), s.scanned)
+	s.cfg.Logf("resultstore: promoted to writer on %s (%d results, %d segment bytes)", s.cfg.Dir, len(s.index), s.seg.End())
 	return nil
 }
 
@@ -860,24 +656,6 @@ func (s *Store) hook(site string) {
 	}
 }
 
-// syncDir fsyncs a directory so a just-renamed file durably appears in it.
-// Best-effort, as for the cluster journal.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // storeMetrics holds the ahs_store_* families; nil (no registry) disables
 // recording.
 type storeMetrics struct {
@@ -916,7 +694,7 @@ func newStoreMetrics(reg *telemetry.Registry, s *Store) *storeMetrics {
 	}, func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(s.scanned)
+		return float64(s.sizeLocked())
 	})
 	reg.GaugeFunc(telemetry.Opts{
 		Name: "ahs_store_dead_bytes",

@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ahs/internal/segment"
 	"ahs/internal/telemetry"
 )
 
@@ -387,11 +387,10 @@ func TestSkippedUndecodableFrame(t *testing.T) {
 	s.Close()
 
 	// Append a frame that checksums correctly but is not a record.
-	payload := []byte(`"not a record"`)
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
+	frame, err := segment.Encode([]byte(`"not a record"`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(filepath.Join(dir, segmentName), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

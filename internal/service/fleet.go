@@ -11,7 +11,9 @@ import (
 // fleet shares (see internal/fleet; *fleet.Node satisfies this
 // structurally — the interface is declared here so the service layer
 // stays free of the fleet import). With a coordinator configured, the
-// submit path's miss order becomes memory → store → claim → evaluate:
+// submit path's miss order becomes memory → store → claim → store →
+// evaluate (the store is re-checked under the claim, since a peer may
+// persist and release between the first miss and the claim):
 // a scenario no tier holds is claimed fleet-wide before any worker
 // touches it, so exactly one instance evaluates it no matter how many
 // received the submission.

@@ -240,6 +240,58 @@ func TestFleetClaimErrorFailsOpen(t *testing.T) {
 	}
 }
 
+// racedFleet grants each claim just after a peer persisted the scenario's
+// result to the shared store and released its own claim — the window
+// between the submit path's store miss and its claim.
+type racedFleet struct {
+	*fakeFleet
+	store *resultstore.Store
+	res   *Result
+}
+
+func (f *racedFleet) TryClaim(hash string, scenario []byte) (bool, string, error) {
+	if err := f.store.Put(hash, f.res); err != nil {
+		return false, "", err
+	}
+	return f.fakeFleet.TryClaim(hash, scenario)
+}
+
+// TestFleetStoreRecheckedUnderClaim: a result that lands between the
+// store miss and the claim is served from the store, not evaluated again,
+// and the claim taken for it is released.
+func TestFleetStoreRecheckedUnderClaim(t *testing.T) {
+	store, err := resultstore.Open(resultstore.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sc := testScenario(9)
+	hash, _ := sc.Hash()
+	rf := &racedFleet{
+		fakeFleet: newFakeFleet(),
+		store:     store,
+		res:       &Result{ScenarioHash: hash, Times: sc.TripHours, Batches: sc.Batches},
+	}
+	eval := newScriptedEval()
+	close(eval.release)
+	m := NewManager(Config{Workers: 1, Eval: eval.fn, Fleet: rf, Store: store, Logf: t.Logf})
+	defer m.Shutdown(waitCtx(t))
+
+	view, err := m.Submit(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Status != StatusDone || view.CacheTier != "store" {
+		t.Fatalf("submit = %v from tier %q, want done from the store", view.Status, view.CacheTier)
+	}
+	if n := eval.invoked.Load(); n != 0 {
+		t.Fatalf("evaluated %d times; the peer's stored result should have been served", n)
+	}
+	if !rf.released(hash) {
+		t.Fatal("claim taken after the peer's put was never released")
+	}
+}
+
 // TestHTTPPeerClaimRedirect: a peer-claimed scenario answers 307 with
 // the holder's /v1/evaluate as Location; a holder without a URL answers
 // a retryable 409 with jittered Retry-After.

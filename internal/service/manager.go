@@ -369,6 +369,18 @@ func (m *Manager) SubmitCtx(ctx context.Context, sc *config.Scenario) (JobView, 
 		}
 		return JobView{}, err
 	}
+	// A peer may have persisted the result and released its claim between
+	// the store miss above and our claim. Re-check under the claim, so a
+	// scenario is evaluated at most once fleet-wide.
+	if m.cfg.Fleet != nil {
+		if res, ok := m.storeGet(hash); ok {
+			m.fleetRelease(hash)
+			m.metrics.StoreHits.Add(1)
+			obs.AddEvent(ctx, "service.store-hit", obs.String("scenario", hash))
+			m.cache.Put(hash, res)
+			return m.bornDoneLocked(ctx, sc, hash, tenant, "store", res), nil
+		}
+	}
 
 	j := m.newJobLocked(ctx, sc, hash)
 	j.tenant = tenant
