@@ -66,7 +66,8 @@ worker:
 # serve binary in -cluster mode) plus the runnable demo, which asserts the
 # merged curve is bit-identical to a single-process evaluation.
 cluster-smoke:
-	$(GO) test -count=1 ./internal/cluster/ ./internal/mc/ -run 'Chunk|Cluster|Shard|Merger'
+	$(GO) test -count=1 ./internal/cluster/ -run 'Chunk|Cluster|Shard|Merger'
+	$(GO) test -count=1 ./internal/mc/
 	$(GO) test -count=1 ./internal/service/ ./cmd/ahs-serve/ -run 'Cluster|Backend'
 	$(GO) run ./examples/cluster
 

@@ -199,8 +199,7 @@ func TestServeJournalMode(t *testing.T) {
 	}()
 
 	// No workers join: the journaled coordinator must still complete the
-	// job through its local-rescue path (the no-journal fast path is
-	// disabled so every round is durable).
+	// job by simulating its chunks itself, journaling each one.
 	resp, err := http.Post(base+"/v1/evaluate", "application/json", strings.NewReader(clusterScenarioJSON))
 	if err != nil {
 		t.Fatal(err)

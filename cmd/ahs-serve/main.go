@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		readTimeout   = fs.Duration("read-timeout", 10*time.Second, "HTTP read timeout")
 		writeTimeout  = fs.Duration("write-timeout", 30*time.Second, "HTTP write timeout")
 		debug         = fs.Bool("debug", false, "mount net/http/pprof profiling endpoints under /debug/pprof/")
-		clusterMode   = fs.Bool("cluster", false, "fan jobs out to ahs-worker processes via the /cluster/v1/ API instead of simulating in-process (no workers registered = transparent local fallback)")
+		clusterMode   = fs.Bool("cluster", false, "fan jobs out to ahs-worker processes via the /cluster/v1/ API instead of simulating in-process (with no live worker the coordinator simulates the chunks itself)")
 		leaseTTL      = fs.Duration("lease-ttl", 2*time.Minute, "cluster chunk lease duration before requeue")
 		chunkBatches  = fs.Uint64("chunk-batches", 0, "cluster lease granularity in batches, rounded up to whole accumulation rounds (0 = four rounds)")
 		journalDir    = fs.String("journal-dir", "", "cluster job-journal directory for crash-safe evaluation (requires -cluster; empty = no journal, jobs are lost on crash)")

@@ -279,6 +279,65 @@ func TestClusterFallsBackToLocalWithoutWorkers(t *testing.T) {
 	}
 }
 
+// TestClusterLocalPathStartsWithoutTickWait: with no workers, local simulation
+// starts at submit and moves from chunk to chunk without waiting for the
+// poll ticker, journaled or not. An hour-long PollInterval would stall any
+// path that waits for a tick.
+func TestClusterLocalPathStartsWithoutTickWait(t *testing.T) {
+	sc := testScenario(2000)
+	want := singleProcessCurve(t, sc, 0)
+	j, err := OpenJournal(JournalConfig{Dir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	coord, _ := testCluster(t, Config{PollInterval: time.Hour, Journal: j})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, _, err := coord.UnsafetyCurve(ctx, sc, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, got, want)
+}
+
+// TestClusterLocalPathHandsOffToLateWorker: a job that starts with no workers is
+// simulated locally until a worker registers; the coordinator then stops
+// claiming chunks, the worker leases the rest, and the curve is unchanged.
+func TestClusterLocalPathHandsOffToLateWorker(t *testing.T) {
+	sc := testScenario(20000)
+	want := singleProcessCurve(t, sc, 500)
+	reg := telemetry.NewRegistry()
+	coord, srv := testCluster(t, Config{CheckEvery: 500, ChunkBatches: 500, Telemetry: reg})
+
+	firstFold := make(chan struct{})
+	var once sync.Once
+	resCh := make(chan error, 1)
+	var got *mc.Curve
+	go func() {
+		curve, _, err := coord.UnsafetyCurve(context.Background(), sc, 1, func(done, max uint64) {
+			once.Do(func() { close(firstFold) })
+		})
+		got = curve
+		resCh <- err
+	}()
+	<-firstFold
+	if v := coord.metrics.fallback.Value(); v != 1 {
+		t.Fatalf("fallback counter = %d, want 1: the job did not start locally", v)
+	}
+	startWorkers(t, srv.URL, 1)
+
+	if err := <-resCh; err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, got, want)
+	if v := coord.metrics.leased.Value(); v == 0 {
+		t.Fatal("no chunk was leased: the registered worker never took over")
+	}
+	t.Logf("chunks leased to the late worker: %d of 40", coord.metrics.leased.Value())
+}
+
 // TestClusterRescuesJobWhenWorkersDie covers the harsher failure: the only
 // worker dies mid-job and nobody replaces it. The coordinator must finish
 // the remaining chunks itself.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -172,15 +173,42 @@ type clusterJob struct {
 	// caller adopts it.
 	trace    obs.SpanContext
 	span     *obs.Span
-	job      mc.Job // context-free copy for merging and local rescue
+	job      mc.Job // context-free copy for merging and local simulation
 	merger   *mc.Merger
 	pending  []mc.ChunkSpec
 	leased   int
 	attempts map[uint64]int // chunk start → delivery attempts
-	progress func(done, max uint64)
-	err      error
-	finished bool
-	done     chan struct{}
+	// unjournaled is set while the merger holds locally simulated rounds
+	// whose chunk record has not been appended yet; the job cannot finish
+	// until it clears (durability before visibility).
+	unjournaled bool
+	progress    func(done, max uint64)
+	err         error
+	finished    bool
+	done        chan struct{}
+}
+
+// build compiles the job's scenario into the mc.Job, merger and reported
+// bias. Submission and journal replay both build through it, so a restored
+// job merges exactly like the one that was journaled.
+func (j *clusterJob) build(localWorkers int, roundSize uint64) error {
+	p, err := j.scenario.Params()
+	if err != nil {
+		return err
+	}
+	sys, err := core.Build(p)
+	if err != nil {
+		return fmt.Errorf("cluster: build model: %w", err)
+	}
+	opts := j.scenario.EvalOptions(sys)
+	opts.Workers = localWorkers
+	opts.CheckEvery = roundSize
+	if j.job, err = sys.UnsafetyJob(opts); err != nil {
+		return err
+	}
+	j.bias = max(opts.FailureBias, 1)
+	j.merger, err = mc.NewMerger(j.job)
+	return err
 }
 
 // New starts a coordinator and its background lease/liveness sweeper.
@@ -249,8 +277,8 @@ func (c *Coordinator) Drain() {
 func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
 	st := Status{
+		WorkersLive:       c.liveWorkersLocked(),
 		WorkersRegistered: len(c.workers),
 		WorkersExcluded:   len(c.excluded),
 		ActiveJobs:        len(c.jobs),
@@ -259,11 +287,6 @@ func (c *Coordinator) Status() Status {
 	}
 	for _, ids := range c.recovered {
 		st.RecoveredJobs += len(ids)
-	}
-	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.cfg.HeartbeatTimeout {
-			st.WorkersLive++
-		}
 	}
 	for _, j := range c.jobs {
 		st.QueuedChunks += len(j.pending)
@@ -275,13 +298,13 @@ func (c *Coordinator) Status() Status {
 // merged curve plus the importance-sampling bias that was applied (for
 // result reporting). The curve is bit-identical to single-process
 // core.AHS.UnsafetyCurve for the same scenario. localWorkers bounds the
-// simulation parallelism of any locally executed batches (fallback and
-// rescue); progress, when non-nil, receives (batchesDone, maxBatches) as
-// chunks fold.
+// simulation parallelism of the chunks the coordinator simulates itself;
+// progress, when non-nil, receives (batchesDone, maxBatches) as chunks and
+// local rounds fold.
 //
-// With no live workers registered the job simply runs locally. If every
-// worker dies mid-job, the coordinator rescues the remaining chunks itself,
-// so a job accepted is a job finished (or cancelled via ctx).
+// Whenever no live worker is registered — at submit, or after every worker
+// died mid-job — the coordinator simulates the queued chunks itself (see
+// await), so a job accepted is a job finished (or cancelled via ctx).
 func (c *Coordinator) UnsafetyCurve(ctx context.Context, sc *config.Scenario, localWorkers int, progress func(done, max uint64)) (*mc.Curve, float64, error) {
 	sc = sc.Canonical()
 	hash, err := sc.Hash()
@@ -324,58 +347,19 @@ func (c *Coordinator) UnsafetyCurve(ctx context.Context, sc *config.Scenario, lo
 	}
 	c.mu.Unlock()
 
-	p, err := sc.Params()
-	if err != nil {
-		return nil, 0, err
-	}
-	sys, err := core.Build(p)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: build model: %w", err)
-	}
-	opts := sc.EvalOptions(sys)
-	opts.Workers = localWorkers
-	opts.CheckEvery = c.cfg.CheckEvery
-	bias := opts.FailureBias
-	if bias < 1 {
-		bias = 1
-	}
-	job, err := sys.UnsafetyJob(opts)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Fast path: with no live workers and no journal, skip the chunk
-	// machinery entirely. A journaled coordinator always goes through
-	// chunks, so every merged round is durable and a crash mid-job can
-	// resume instead of restarting from batch zero.
-	if c.cfg.Journal == nil && c.liveWorkers() == 0 {
-		c.metrics.localFallback()
-		c.cfg.Logf("cluster: no live workers, evaluating %s locally", shortHash(sc))
-		span.Event("cluster.local-fallback")
-		job.Context = ctx
-		job.Progress = progress
-		curve, err := mc.EstimateCurve(job)
-		span.RecordError(err)
-		return curve, bias, err
-	}
-
-	merger, err := mc.NewMerger(job)
-	if err != nil {
-		return nil, 0, err
-	}
 	j := &clusterJob{
 		scenario: sc,
 		hash:     hash,
-		bias:     bias,
 		trace:    span.Context(),
 		span:     span,
-		job:      job,
-		merger:   merger,
-		pending:  job.Shard(c.cfg.ChunkBatches),
 		attempts: make(map[uint64]int),
 		progress: progress,
 		done:     make(chan struct{}),
 	}
+	if err := j.build(localWorkers, c.cfg.CheckEvery); err != nil {
+		return nil, 0, err
+	}
+	j.pending = j.job.Shard(c.cfg.ChunkBatches)
 
 	c.mu.Lock()
 	if c.closed || c.draining {
@@ -393,7 +377,7 @@ func (c *Coordinator) UnsafetyCurve(ctx context.Context, sc *config.Scenario, lo
 			Job:          j.id,
 			Scenario:     sc,
 			Hash:         hash,
-			RoundSize:    job.RoundSize(),
+			RoundSize:    j.job.RoundSize(),
 			ChunkBatches: c.cfg.ChunkBatches,
 			LocalWorkers: localWorkers,
 			Trace:        traceparentOf(j.trace),
@@ -412,14 +396,36 @@ func (c *Coordinator) UnsafetyCurve(ctx context.Context, sc *config.Scenario, lo
 }
 
 // await blocks until the job finishes (returning its curve) or ctx is
-// cancelled, locally rescuing queued chunks whenever no live workers are
-// registered. On return the job is dropped from the coordinator — and from
-// the journal, unless the coordinator is shutting down.
+// cancelled. While no live worker is registered it simulates the job's
+// queued chunks itself, back to back (see localRun); the ticker only paces
+// re-checks while chunks are out on lease or workers are live. On return
+// the local simulation is cancelled and waited for, and the job is dropped
+// from the coordinator — and from the journal, unless the coordinator is
+// shutting down.
 func (c *Coordinator) await(ctx context.Context, j *clusterJob) (*mc.Curve, float64, error) {
 	defer c.dropJob(j)
+	c.mu.Lock()
+	fallback := !j.finished && c.liveWorkersLocked() == 0
+	c.mu.Unlock()
+	if fallback {
+		c.metrics.localFallback()
+		c.cfg.Logf("cluster: no live workers, evaluating %s locally", shortHash(j.scenario))
+		j.span.Event("cluster.local-fallback")
+	}
+	lctx, cancel := context.WithCancel(ctx)
+	run := &localRun{c: c, j: j, ctx: lctx, results: make(chan localRound, 1)}
+	defer func() {
+		cancel()
+		run.wg.Wait()
+	}()
 	ticker := time.NewTicker(c.cfg.PollInterval)
 	defer ticker.Stop()
 	for {
+		run.start()
+		var tick <-chan time.Time
+		if !run.busy {
+			tick = ticker.C // nothing to re-check while a local round runs
+		}
 		select {
 		case <-j.done:
 			c.mu.Lock()
@@ -432,15 +438,140 @@ func (c *Coordinator) await(ctx context.Context, j *clusterJob) (*mc.Curve, floa
 			return curve, j.bias, err
 		case <-ctx.Done():
 			return nil, 0, ctx.Err()
-		case <-ticker.C:
-			// Rescue: if the workers are gone, simulate the queue
-			// locally. Chunks still on (expired) leases come back
-			// through the sweeper and are picked up next tick.
-			if c.liveWorkers() == 0 {
-				c.rescueOne(ctx, j)
-			}
+		case res := <-run.results:
+			run.fold(res)
+		case <-tick:
 		}
 	}
+}
+
+// localRun is the coordinator's own share of one job. It claims queued
+// chunks only while no live worker is registered — checking again before
+// every chunk, so a worker that registers mid-job leases the rest — and
+// simulates each claimed chunk one accumulation round at a time on a
+// Chunker built once. Every round folds into the merger as it lands, so
+// the job stops at exactly the round where the stop rule fires, like a
+// single-process run. A chunk's journal record is appended once its last
+// round has folded (or the merge completed), while the next round is
+// already simulating. Only await's goroutine touches a localRun.
+type localRun struct {
+	c       *Coordinator
+	j       *clusterJob
+	ctx     context.Context
+	chunker *mc.Chunker
+	results chan localRound // capacity 1: a cancelled round never blocks
+	wg      sync.WaitGroup
+	busy    bool // a round is simulating
+
+	chunk mc.ChunkSpec   // the claimed chunk
+	acc   *mc.ChunkState // its rounds folded so far, not yet journaled
+}
+
+type localRound struct {
+	state *mc.ChunkState
+	err   error
+}
+
+// start begins simulating the next local round, unless one is already in
+// flight or there is nothing the coordinator may simulate right now.
+func (r *localRun) start() {
+	if r.busy {
+		return
+	}
+	c, j := r.c, r.j
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if j.finished || j.merger.Complete() {
+		return
+	}
+	if r.acc == nil || r.acc.Spec.End() == r.chunk.End() {
+		if len(j.pending) == 0 || c.liveWorkersLocked() > 0 {
+			return
+		}
+		r.chunk, j.pending = j.pending[0], j.pending[1:]
+		r.acc = &mc.ChunkState{
+			Spec:      mc.ChunkSpec{Start: r.chunk.Start},
+			RoundSize: j.job.RoundSize(),
+			Causes:    make(map[string]uint64),
+		}
+	}
+	if r.chunker == nil {
+		job := j.job
+		job.Context = r.ctx
+		var err error
+		if r.chunker, err = mc.NewChunker(job); err != nil {
+			c.finishJobLocked(j, fmt.Errorf("cluster: local simulation: %w", err))
+			return
+		}
+	}
+	start := r.acc.Spec.End()
+	spec := mc.ChunkSpec{Start: start, Count: min(r.acc.RoundSize, r.chunk.End()-start)}
+	r.busy = true
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		state, err := r.chunker.Estimate(spec)
+		r.results <- localRound{state, err}
+	}()
+}
+
+// fold merges one simulated round. Once the round ends its chunk, or the
+// merge is complete, it starts the next round and then journals the chunk,
+// so the append and its fsync overlap the simulation; the job settles only
+// after the append.
+func (r *localRun) fold(res localRound) {
+	r.busy = false
+	if r.ctx.Err() != nil {
+		return // the caller is gone; await returns ctx.Err()
+	}
+	c, j := r.c, r.j
+	c.mu.Lock()
+	if j.finished {
+		c.mu.Unlock()
+		return
+	}
+	err := res.err
+	if err == nil {
+		err = j.merger.Add(res.state)
+	}
+	if err != nil {
+		// The simulation is deterministic, so a failed round would fail
+		// anywhere: fail the job like a single-process evaluation would.
+		c.finishJobLocked(j, fmt.Errorf("cluster: local simulation of chunk %s: %w", r.chunk, err))
+		c.mu.Unlock()
+		return
+	}
+	r.acc.Spec.Count += res.state.Spec.Count
+	r.acc.Rounds = append(r.acc.Rounds, res.state.Rounds...)
+	for k, v := range res.state.Causes {
+		r.acc.Causes[k] += v
+	}
+	j.unjournaled = true
+	if j.progress != nil {
+		j.progress(j.merger.Done(), j.merger.Target())
+	}
+	chunkDone := r.acc.Spec.End() == r.chunk.End() || j.merger.Complete()
+	c.mu.Unlock()
+	if !chunkDone {
+		return
+	}
+	rec := r.acc
+	r.acc = nil
+	r.start()
+	// Let the round just started take this thread before the append
+	// blocks it in write and fsync; otherwise the round can wait for the
+	// runtime to hand the processor to another thread, which is slow on a
+	// loaded machine.
+	runtime.Gosched()
+	start := time.Now()
+	c.journalChunk(j, rec)
+	c.mu.Lock()
+	j.unjournaled = false
+	c.metrics.chunkCompleted(time.Since(start).Seconds())
+	c.metrics.chunkRescued()
+	j.span.Event("cluster.chunk-rescued", obs.String("chunk", rec.Spec.String()))
+	c.settleLocked(j)
+	c.mu.Unlock()
 }
 
 // restore rebuilds jobs from the journal at startup. Jobs that cannot be
@@ -495,32 +626,9 @@ func (c *Coordinator) rebuildJob(rj *journalJob) *clusterJob {
 		close(j.done)
 		return j
 	}
-	p, err := j.scenario.Params()
-	if err != nil {
+	if err := j.build(rj.submit.LocalWorkers, rj.submit.RoundSize); err != nil {
 		return fail(err)
 	}
-	sys, err := core.Build(p)
-	if err != nil {
-		return fail(err)
-	}
-	opts := j.scenario.EvalOptions(sys)
-	opts.Workers = rj.submit.LocalWorkers
-	opts.CheckEvery = rj.submit.RoundSize
-	j.bias = opts.FailureBias
-	if j.bias < 1 {
-		j.bias = 1
-	}
-	job, err := sys.UnsafetyJob(opts)
-	if err != nil {
-		return fail(err)
-	}
-	merger, err := mc.NewMerger(job)
-	if err != nil {
-		return fail(err)
-	}
-	j.job = job
-	j.merger = merger
-
 	starts := make([]uint64, 0, len(rj.chunks))
 	for s := range rj.chunks {
 		starts = append(starts, s)
@@ -528,26 +636,15 @@ func (c *Coordinator) rebuildJob(rj *journalJob) *clusterJob {
 	sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
 	for _, s := range starts {
 		state := rj.chunks[s]
-		if merger.Covered(state.Spec) {
-			continue
-		}
-		if err := merger.Add(state); err != nil {
+		if err := j.merger.Add(state); err != nil {
 			// A journaled state the merger rejects can only come from an
-			// incompatible layout change; the chunk will simply be
-			// re-simulated.
+			// incompatible layout change; its batches stay uncovered and
+			// are simply re-simulated.
 			c.cfg.Logf("cluster: journal chunk %s of job %d rejected on replay: %v", state.Spec, rj.id, err)
 		}
 	}
-	if !merger.Complete() {
-		covered := make(map[uint64]bool, len(merger.Added()))
-		for _, spec := range merger.Added() {
-			covered[spec.Start] = true
-		}
-		for _, spec := range job.Shard(rj.submit.ChunkBatches) {
-			if !covered[spec.Start] {
-				j.pending = append(j.pending, spec)
-			}
-		}
+	if !j.merger.Complete() {
+		j.pending = uncovered(j.job.Shard(rj.submit.ChunkBatches), j.merger.Added())
 	}
 
 	switch {
@@ -556,7 +653,7 @@ func (c *Coordinator) rebuildJob(rj *journalJob) *clusterJob {
 		j.err = errors.New(rj.finishErr)
 		j.pending = nil
 		close(j.done)
-	case merger.Complete():
+	case j.merger.Complete():
 		// All chunks were merged before the crash (the finish record may
 		// or may not have made it; either way the outcome is decided).
 		j.finished = true
@@ -600,10 +697,32 @@ func (c *Coordinator) dropJob(j *clusterJob) {
 	}
 }
 
-// liveWorkers counts workers seen within the heartbeat window.
-func (c *Coordinator) liveWorkers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// uncovered returns the parts of the shard layout that no held range
+// covers, in order. A journaled chunk record smaller than its shard — a
+// local chunk cut short when the merge completed — thus requeues only the
+// batches it lacks.
+func uncovered(shards, held []mc.ChunkSpec) []mc.ChunkSpec {
+	var out []mc.ChunkSpec
+	for _, sh := range shards {
+		start := sh.Start
+		for _, h := range held {
+			if h.End() <= start || h.Start >= sh.End() {
+				continue
+			}
+			if h.Start > start {
+				out = append(out, mc.ChunkSpec{Start: start, Count: h.Start - start})
+			}
+			start = h.End()
+		}
+		if start < sh.End() {
+			out = append(out, mc.ChunkSpec{Start: start, Count: sh.End() - start})
+		}
+	}
+	return out
+}
+
+// liveWorkersLocked counts workers seen within the heartbeat window.
+func (c *Coordinator) liveWorkersLocked() int {
 	n := 0
 	now := time.Now()
 	for _, w := range c.workers {
@@ -612,36 +731,6 @@ func (c *Coordinator) liveWorkers() int {
 		}
 	}
 	return n
-}
-
-// rescueOne pops one pending chunk and simulates it locally.
-func (c *Coordinator) rescueOne(ctx context.Context, j *clusterJob) {
-	c.mu.Lock()
-	if j.finished || len(j.pending) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	spec := j.pending[0]
-	j.pending = j.pending[1:]
-	job := j.job
-	c.mu.Unlock()
-
-	job.Context = ctx
-	state, err := mc.EstimateChunk(job, spec)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j.finished {
-		return
-	}
-	if err != nil {
-		c.cfg.Logf("cluster: local rescue of chunk %s failed: %v", spec, err)
-		c.requeueLocked(j, spec, err)
-		return
-	}
-	c.metrics.chunkRescued()
-	j.span.Event("cluster.chunk-rescued", obs.String("chunk", spec.String()))
-	c.foldLocked(j, state)
 }
 
 // sweeper periodically requeues expired leases and drops dead workers.
@@ -775,10 +864,8 @@ func (c *Coordinator) requeueLocked(j *clusterJob, spec mc.ChunkSpec, cause erro
 	j.pending = append(j.pending, spec)
 }
 
-// foldLocked merges one chunk state and finishes the job when complete.
-// The progress callback fires after the lock is released by the caller via
-// the returned closure pattern; here we call it inline since manager
-// progress callbacks are lock-free.
+// foldLocked merges one worker's chunk state, journals it, and finishes
+// the job when complete.
 func (c *Coordinator) foldLocked(j *clusterJob, state *mc.ChunkState) {
 	start := time.Now()
 	if err := j.merger.Add(state); err != nil {
@@ -789,20 +876,30 @@ func (c *Coordinator) foldLocked(j *clusterJob, state *mc.ChunkState) {
 		c.requeueLocked(j, state.Spec, err)
 		return
 	}
-	// Durability before visibility: the merged chunk is journaled before
-	// it can influence the job's outcome. Should the append fail, the
-	// merged state is still correct in memory; recovery would just
-	// re-simulate the chunk.
+	c.journalChunk(j, state)
+	c.metrics.chunkCompleted(time.Since(start).Seconds())
+	if j.progress != nil {
+		j.progress(j.merger.Done(), j.merger.Target())
+	}
+	c.settleLocked(j)
+}
+
+// journalChunk appends a merged chunk's record. Durability before
+// visibility: a chunk is journaled before it can settle the job. Should the
+// append fail, the merged state is still correct in memory; recovery would
+// just re-simulate the chunk.
+func (c *Coordinator) journalChunk(j *clusterJob, state *mc.ChunkState) {
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.append(journalRecord{Type: recChunk, Job: j.id, State: state}); err != nil {
 			c.cfg.Logf("cluster: journal chunk %s of job %d: %v", state.Spec, j.id, err)
 		}
 	}
-	c.metrics.chunkCompleted(time.Since(start).Seconds())
-	if j.progress != nil {
-		j.progress(j.merger.Done(), j.merger.Target())
-	}
-	if j.merger.Complete() {
+}
+
+// settleLocked finishes the job once its merge is complete and every
+// chunk that decided it is journaled.
+func (c *Coordinator) settleLocked(j *clusterJob) {
+	if j.merger.Complete() && !j.unjournaled {
 		c.finishJobLocked(j, nil)
 	}
 }

@@ -37,11 +37,11 @@ func newMetrics(reg *telemetry.Registry, coord *Coordinator) *metrics {
 		}),
 		fallback: reg.Counter(telemetry.Opts{
 			Name: "ahs_cluster_local_fallback_total",
-			Help: "Jobs executed locally because no live workers were registered.",
+			Help: "Jobs that started with no live worker registered, so the coordinator began simulating them itself.",
 		}),
 		rescued: reg.Counter(telemetry.Opts{
 			Name: "ahs_cluster_chunks_rescued_total",
-			Help: "Chunks the coordinator simulated locally after its workers died mid-job.",
+			Help: "Chunks the coordinator simulated itself while no live worker was registered.",
 		}),
 		mergeSec: reg.Histogram(telemetry.Opts{
 			Name:    "ahs_cluster_merge_seconds",

@@ -10,10 +10,11 @@
 //
 // Robustness envelope: leases carry deadlines and expire back onto the
 // queue; workers that fail repeatedly are excluded; optional health URLs are
-// probed when a worker goes quiet; a coordinator with no live workers falls
-// back to local execution, and one whose workers all die mid-job rescues the
-// remaining chunks locally. Completions are validated against the currently
-// outstanding lease ID, so a requeued chunk can never be double-counted.
+// probed when a worker goes quiet; whenever no live worker is registered —
+// at submit or after every worker died mid-job — the coordinator simulates
+// the queued chunks itself through the same Chunker and Merger. Completions
+// are validated against the currently outstanding lease ID, so a requeued
+// chunk can never be double-counted.
 //
 // The wire protocol is versioned under /cluster/v1/ (see docs/cluster.md).
 package cluster

@@ -100,10 +100,10 @@ func (a *AHS) failureBiasSpec(factor float64) (*sim.Bias, error) {
 	return bias, nil
 }
 
-// UnsafetyJob builds the Monte-Carlo job that UnsafetyCurve estimates,
-// without running it. The job always classifies catastrophic causes, so a
-// chunked estimator (mc.EstimateChunk, internal/cluster) can fold ST1/ST2/ST3
-// counts into its sufficient statistics; the full telemetry stream is only
+// UnsafetyJob builds the Monte-Carlo job that UnsafetyCurve and
+// UnsafetyBreakdown estimate, without running it. The job always
+// classifies catastrophic causes, so every chunk folds ST1/ST2/ST3 counts
+// into its sufficient statistics; the full telemetry stream is only
 // attached when opts.Telemetry is set. Two calls with equal options return
 // jobs that estimate bit-identical curves, on one machine or many.
 func (a *AHS) UnsafetyJob(opts EvalOptions) (mc.Job, error) {
@@ -137,7 +137,13 @@ func (a *AHS) UnsafetyJob(opts EvalOptions) (mc.Job, error) {
 		Snapshot:   opts.Snapshot,
 		Cause:      func(mk *san.Marking) string { return a.Cause(mk).String() },
 	}
-	a.instrumentJob(&job, opts.Telemetry)
+	if opts.Telemetry != nil {
+		// The model records maneuver attempts and failures; the job records
+		// trajectory counts, step and first-passage histograms, catastrophe
+		// causes and (through mc's Sim.Sink propagation) activity firings.
+		a.Instrument(opts.Telemetry)
+		job.Telemetry = opts.Telemetry
+	}
 	return job, nil
 }
 
@@ -151,19 +157,6 @@ func (a *AHS) UnsafetyCurve(opts EvalOptions) (*mc.Curve, error) {
 		return nil, err
 	}
 	return mc.EstimateCurve(job)
-}
-
-// instrumentJob wires the evaluation's telemetry sink into both the model
-// (maneuver attempts/failures, via Instrument) and the Monte-Carlo job
-// (trajectory counts, step/first-passage histograms, catastrophe causes —
-// and activity firings through mc's Sim.Sink propagation).
-func (a *AHS) instrumentJob(job *mc.Job, sink telemetry.Sink) {
-	if sink == nil {
-		return
-	}
-	a.Instrument(sink)
-	job.Telemetry = sink
-	job.Cause = func(mk *san.Marking) string { return a.Cause(mk).String() }
 }
 
 // RecordTrajectory simulates one trajectory over the given horizon and
@@ -219,11 +212,7 @@ type Breakdown struct {
 // triggering catastrophic situation, on shared trajectories.
 func (a *AHS) UnsafetyBreakdown(t float64, opts EvalOptions) (*Breakdown, error) {
 	opts.Times = []float64{t}
-	maxBatches := opts.MaxBatches
-	if maxBatches == 0 {
-		maxBatches = 200_000
-	}
-	bias, err := a.failureBiasSpec(opts.FailureBias)
+	job, err := a.UnsafetyJob(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -235,20 +224,6 @@ func (a *AHS) UnsafetyBreakdown(t float64, opts EvalOptions) (*Breakdown, error)
 			return 0
 		}
 	}
-	job := mc.Job{
-		Model:      a.Model,
-		Sim:        sim.Options{MaxTime: t, Stop: a.Unsafe, Bias: bias},
-		Times:      opts.Times,
-		Value:      a.UnsafetyIndicator,
-		Seed:       opts.Seed,
-		StopRule:   opts.StopRule,
-		MaxBatches: maxBatches,
-		CheckEvery: opts.CheckEvery,
-		Workers:    opts.Workers,
-		Context:    opts.Context,
-		Progress:   opts.Progress,
-	}
-	a.instrumentJob(&job, opts.Telemetry)
 	main, extras, err := mc.EstimateCurveMulti(job, map[string]func(mk *san.Marking) float64{
 		"ST1": causeIndicator(platoon.ST1),
 		"ST2": causeIndicator(platoon.ST2),

@@ -3,38 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"ahs/internal/mc"
-	"ahs/internal/san"
-	"ahs/internal/sim"
 )
-
-// OccupancyCurve estimates the expected number of vehicles on the highway
-// over the time grid — the population measure behind §4.3's load analysis.
-// Occupancy is not rare, so the estimate is naive (FailureBias ignored) and
-// trajectories run past KO_total (the highway keeps operating around a
-// catastrophe site in the model's bookkeeping).
-func (a *AHS) OccupancyCurve(opts EvalOptions) (*mc.Curve, error) {
-	if len(opts.Times) == 0 {
-		return nil, fmt.Errorf("core: empty time grid")
-	}
-	maxBatches := opts.MaxBatches
-	if maxBatches == 0 {
-		maxBatches = 10_000
-	}
-	job := mc.Job{
-		Model:      a.Model,
-		Sim:        sim.Options{MaxTime: opts.Times[len(opts.Times)-1]},
-		Times:      opts.Times,
-		Value:      func(mk *san.Marking) float64 { return float64(a.VehiclesInSystem(mk)) },
-		Seed:       opts.Seed,
-		StopRule:   opts.StopRule,
-		MaxBatches: maxBatches,
-		CheckEvery: opts.CheckEvery,
-		Workers:    opts.Workers,
-	}
-	return mc.EstimateCurve(job)
-}
 
 // Sensitivity is one row of a sensitivity analysis: the elasticity
 // d ln S / d ln θ of the unsafety with respect to parameter θ, estimated by

@@ -5,57 +5,6 @@ import (
 	"testing"
 )
 
-func TestOccupancyCurve(t *testing.T) {
-	p := DefaultParams()
-	p.N = 5
-	a := MustBuild(p)
-	curve, err := a.OccupancyCurve(EvalOptions{
-		Times:      []float64{1, 5, 10},
-		Seed:       41,
-		MaxBatches: 400,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tp := range curve.Times {
-		occ := curve.Mean[i]
-		if occ <= 0 || occ > float64(2*p.N) {
-			t.Fatalf("occupancy %v at t=%v outside (0, %d]", occ, tp, 2*p.N)
-		}
-	}
-	// With join 12/hr against a system-level leave of 4/hr, the highway
-	// stays nearly full.
-	if curve.Final() < float64(2*p.N)*0.8 {
-		t.Fatalf("occupancy %v suspiciously low for join >> leave", curve.Final())
-	}
-}
-
-func TestOccupancyCurveDrainsWithoutJoins(t *testing.T) {
-	p := DefaultParams()
-	p.N = 5
-	p.JoinRate = 0
-	p.LeaveRate = 12
-	a := MustBuild(p)
-	curve, err := a.OccupancyCurve(EvalOptions{
-		Times:      []float64{0.5, 8},
-		Seed:       42,
-		MaxBatches: 400,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(curve.Mean[1] < curve.Mean[0]) {
-		t.Fatalf("occupancy did not drain: %v", curve.Mean)
-	}
-}
-
-func TestOccupancyCurveValidation(t *testing.T) {
-	a := MustBuild(DefaultParams())
-	if _, err := a.OccupancyCurve(EvalOptions{}); err == nil {
-		t.Fatal("expected empty-grid error")
-	}
-}
-
 func TestSensitivityTableLambdaElasticity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy Monte-Carlo statistical check; skipped under -short (race CI)")

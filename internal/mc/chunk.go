@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 
+	"ahs/internal/san"
 	"ahs/internal/stats"
 )
 
@@ -31,6 +32,11 @@ func (s ChunkSpec) String() string { return fmt.Sprintf("[%d,%d)", s.Start, s.En
 // its stopped trajectories. States serialize to JSON losslessly (see
 // stats.Welford's wire format), so a remote worker can ship one back to a
 // coordinator whose Merger reconstructs the exact single-process curve.
+//
+// Each round is measure-major: len(Times) accumulators for the job's
+// Value, then len(Times) for each extra measure EstimateCurveMulti adds, in
+// name order. A state without extras is exactly one accumulator per grid
+// point per round, the form that travels on the wire and in the journal.
 type ChunkState struct {
 	Spec      ChunkSpec         `json:"spec"`
 	RoundSize uint64            `json:"roundSize"`
@@ -82,46 +88,59 @@ func (j *Job) Shard(chunkBatches uint64) []ChunkSpec {
 	return specs
 }
 
-// EstimateChunk simulates exactly the batches [spec.Start, spec.End()) of
-// the job and returns their sufficient statistics. The job's StopRule and
-// MaxBatches are ignored — convergence is the merger's decision — while
-// CheckEvery fixes the accumulation round size, which must match across
-// every chunk of one logical job (and the single-process run being
-// reproduced) for the merged curve to be bit-identical. spec.Start must lie
-// on a round boundary for the same reason.
-//
-// Chunks estimate the main Value only; Workers parallelises within the
-// chunk, Context cancels it, and Cause (when set) is folded into the
-// returned state's cause counters.
-func EstimateChunk(job Job, spec ChunkSpec) (*ChunkState, error) {
+// Chunker simulates chunks of one job on a runner pool it builds once, so
+// estimating many chunks of a job pays the runner set-up once. It is not
+// safe for concurrent use.
+type Chunker struct {
+	job  Job
+	ctx  context.Context
+	pool *runnerPool
+}
+
+// NewChunker validates the job, applies its defaults (GOMAXPROCS workers,
+// Telemetry as Sim.Sink, a background context) and builds the runner pool
+// that Estimate reuses.
+func NewChunker(job Job) (*Chunker, error) { return newChunker(job, nil) }
+
+// newChunker is NewChunker with extra measures probed after Value (see
+// ChunkState.Rounds).
+func newChunker(job Job, extras []func(mk *san.Marking) float64) (*Chunker, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
-	if spec.Count == 0 {
-		return nil, errors.New("mc: empty chunk")
-	}
-	roundSize := job.RoundSize()
-	if spec.Start%roundSize != 0 {
-		return nil, fmt.Errorf("mc: chunk start %d not aligned to round size %d", spec.Start, roundSize)
-	}
-	workers := job.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if job.Workers <= 0 {
+		job.Workers = runtime.GOMAXPROCS(0)
 	}
 	if job.Telemetry != nil && job.Sim.Sink == nil {
 		job.Sim.Sink = job.Telemetry
 	}
-	ctx := job.Context
-	if ctx == nil {
-		ctx = context.Background()
+	c := &Chunker{job: job, ctx: job.Context}
+	if c.ctx == nil {
+		c.ctx = context.Background()
 	}
-	maxRound := roundSize
-	if maxRound > spec.Count {
-		maxRound = spec.Count
-	}
-	pool, err := newRunnerPool(&job, nil, nil, workers, maxRound, true)
+	pool, err := newRunnerPool(&c.job, extras)
 	if err != nil {
 		return nil, err
+	}
+	c.pool = pool
+	return c, nil
+}
+
+// Estimate simulates exactly the batches [spec.Start, spec.End()) of the
+// job and returns their sufficient statistics. The job's StopRule and
+// MaxBatches are ignored — convergence is the merger's decision — while
+// CheckEvery fixes the accumulation round size, which must match across
+// every chunk of one logical job for the merged curve to be bit-identical.
+// spec.Start must lie on a round boundary for the same reason. Workers
+// parallelises within the chunk, Context cancels it, and Cause (when set)
+// is folded into the returned state's cause counters.
+func (c *Chunker) Estimate(spec ChunkSpec) (*ChunkState, error) {
+	if spec.Count == 0 {
+		return nil, errors.New("mc: empty chunk")
+	}
+	roundSize := c.job.RoundSize()
+	if spec.Start%roundSize != 0 {
+		return nil, fmt.Errorf("mc: chunk start %d not aligned to round size %d", spec.Start, roundSize)
 	}
 	state := &ChunkState{
 		Spec:      spec,
@@ -129,26 +148,35 @@ func EstimateChunk(job Job, spec ChunkSpec) (*ChunkState, error) {
 		Rounds:    make([][]stats.Welford, 0, (spec.Count+roundSize-1)/roundSize),
 	}
 	for off := uint64(0); off < spec.Count; off += roundSize {
-		n := roundSize
-		if rem := spec.Count - off; n > rem {
-			n = rem
-		}
-		if err := pool.runRound(ctx, spec.Start+off, n); err != nil {
+		n := min(roundSize, spec.Count-off)
+		if err := c.pool.runRound(c.ctx, spec.Start+off, n); err != nil {
+			c.pool.takeCauses() // a failed chunk's counts must not leak into the next
 			return nil, err
 		}
-		state.Rounds = append(state.Rounds, pool.foldRound(n)[0])
+		state.Rounds = append(state.Rounds, c.pool.foldRound(n))
 	}
-	state.Causes = pool.causeCounts()
+	state.Causes = c.pool.takeCauses()
 	return state, nil
 }
 
-// Merger folds chunk states into the curve a single process would produce
-// for the same job. Chunks may be added in any order; rounds are folded in
-// ascending batch order as the contiguous prefix extends, and — when the
-// job has a stop rule — convergence is evaluated at every round boundary
-// exactly like EstimateCurve does, so the merged curve (mean, intervals,
-// batch count and convergence flag) is bit-identical to the single-process
-// result. Chunks past the convergence boundary are discarded.
+// EstimateChunk simulates one chunk of the job, the unit a cluster worker
+// leases: Chunker.Estimate on a Chunker built for this call alone.
+func EstimateChunk(job Job, spec ChunkSpec) (*ChunkState, error) {
+	c, err := NewChunker(job)
+	if err != nil {
+		return nil, err
+	}
+	return c.Estimate(spec)
+}
+
+// Merger folds chunk states into the job's curve. It is the only fold: the
+// in-process estimator and the cluster coordinator both feed it. Chunks may
+// be added in any order; rounds are folded in ascending batch order as the
+// contiguous prefix extends, and — when the job has a stop rule —
+// convergence is evaluated at every round boundary, so the merged curve
+// (mean, intervals, batch count and convergence flag) depends only on the
+// job, never on the chunk layout or arrival order. Chunks past the
+// convergence boundary are discarded.
 //
 // Merger is not safe for concurrent use; callers serialize Add.
 type Merger struct {
@@ -158,9 +186,10 @@ type Merger struct {
 	rule      stats.RelativeStopRule
 	hasRule   bool
 
+	// accs is one round row: measure-major accumulators (see
+	// ChunkState.Rounds), measure 0 being the job's Value.
 	accs      []stats.Welford
 	pending   map[uint64]*ChunkState // keyed by chunk start, not yet folded
-	added     map[uint64]uint64      // chunk start → end, for overlap checks
 	next      uint64                 // batches folded so far (contiguous prefix)
 	converged bool
 	causes    map[string]uint64
@@ -172,21 +201,26 @@ func NewMerger(job Job) (*Merger, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
+	return newMerger(job, 1), nil
+}
+
+// newMerger is NewMerger for a validated job whose chunks carry measures
+// measures per grid point.
+func newMerger(job Job, measures int) *Merger {
 	return &Merger{
 		times:     append([]float64(nil), job.Times...),
 		roundSize: job.RoundSize(),
 		target:    job.maxBatches(),
 		rule:      job.StopRule,
 		hasRule:   job.StopRule != (stats.RelativeStopRule{}),
-		accs:      make([]stats.Welford, len(job.Times)),
+		accs:      make([]stats.Welford, measures*len(job.Times)),
 		pending:   make(map[uint64]*ChunkState),
-		added:     make(map[uint64]uint64),
 		causes:    make(map[string]uint64),
-	}, nil
+	}
 }
 
 // Add folds one chunk state. It validates the state's shape against the
-// job — round size, alignment, grid width, per-round batch counts — and
+// job — round size, alignment, row width, per-round batch counts — and
 // rejects duplicate or overlapping chunks, so a buggy or malicious worker
 // cannot double-count a stripe. Adding after convergence is a no-op: the
 // chunk is speculative work past the stopping boundary.
@@ -213,9 +247,15 @@ func (m *Merger) Add(state *ChunkState) error {
 	if sp.End() != m.target && sp.Count%m.roundSize != 0 {
 		return fmt.Errorf("mc: non-final chunk %s is not a whole number of rounds of %d", sp, m.roundSize)
 	}
-	for start, end := range m.added {
-		if sp.Start < end && start < sp.End() {
-			return fmt.Errorf("mc: chunk %s overlaps already-added chunk [%d,%d)", sp, start, end)
+	// Before convergence the folded chunks tile [0, next) exactly, so a
+	// chunk overlaps an added one iff it starts inside the prefix or
+	// overlaps a pending chunk.
+	if sp.Start < m.next {
+		return fmt.Errorf("mc: chunk %s overlaps the folded prefix [0,%d)", sp, m.next)
+	}
+	for _, p := range m.pending {
+		if sp.Start < p.Spec.End() && p.Spec.Start < sp.End() {
+			return fmt.Errorf("mc: chunk %s overlaps already-added chunk %s", sp, p.Spec)
 		}
 	}
 	wantRounds := int((sp.Count + m.roundSize - 1) / m.roundSize)
@@ -223,13 +263,10 @@ func (m *Merger) Add(state *ChunkState) error {
 		return fmt.Errorf("mc: chunk %s carries %d rounds, want %d", sp, len(state.Rounds), wantRounds)
 	}
 	for ri, round := range state.Rounds {
-		if len(round) != len(m.times) {
-			return fmt.Errorf("mc: chunk %s round %d has %d grid points, want %d", sp, ri, len(round), len(m.times))
+		if len(round) != len(m.accs) {
+			return fmt.Errorf("mc: chunk %s round %d has %d grid points, want %d", sp, ri, len(round), len(m.accs))
 		}
-		n := m.roundSize
-		if rem := sp.Count - uint64(ri)*m.roundSize; n > rem {
-			n = rem
-		}
+		n := min(m.roundSize, sp.Count-uint64(ri)*m.roundSize)
 		for pi := range round {
 			if round[pi].N() != n {
 				return fmt.Errorf("mc: chunk %s round %d point %d holds %d observations, want %d", sp, ri, pi, round[pi].N(), n)
@@ -238,13 +275,12 @@ func (m *Merger) Add(state *ChunkState) error {
 	}
 
 	m.pending[sp.Start] = state
-	m.added[sp.Start] = sp.End()
 	m.fold()
 	return nil
 }
 
 // fold advances the contiguous prefix over any pending chunks, checking the
-// stop rule at every round boundary like the single-process estimator.
+// stop rule on the main measure's last grid point at every round boundary.
 func (m *Merger) fold() {
 	for !m.converged {
 		state, ok := m.pending[m.next]
@@ -256,15 +292,11 @@ func (m *Merger) fold() {
 			m.causes[k] += v
 		}
 		for _, round := range state.Rounds {
-			n := m.roundSize
-			if rem := state.Spec.End() - m.next; n > rem {
-				n = rem
-			}
 			for i := range m.accs {
 				m.accs[i].Merge(&round[i])
 			}
-			m.next += n
-			if m.hasRule && m.rule.Satisfied(&m.accs[len(m.accs)-1]) {
+			m.next += min(m.roundSize, state.Spec.End()-m.next)
+			if m.hasRule && m.rule.Satisfied(&m.accs[len(m.times)-1]) {
 				m.converged = true
 				break
 			}
@@ -272,22 +304,17 @@ func (m *Merger) fold() {
 	}
 }
 
-// Covered reports whether the batch range of spec is already accounted for
-// by an added chunk — exactly, as a duplicate of a previous Add. Recovery
-// paths (journal replay) use it to skip re-applying chunks idempotently
-// instead of tripping the overlap rejection.
-func (m *Merger) Covered(spec ChunkSpec) bool {
-	end, ok := m.added[spec.Start]
-	return ok && end == spec.End()
-}
-
-// Added returns the specs of every added chunk in ascending start order,
-// including chunks still pending (not yet part of the contiguous folded
-// prefix). Restores use it to compute which shards still need simulating.
+// Added returns the batch ranges the merger holds, in ascending order: the
+// folded prefix as one range, then every chunk still pending (added but not
+// yet contiguous with the prefix). Restores use it to compute which
+// batches still need simulating.
 func (m *Merger) Added() []ChunkSpec {
-	specs := make([]ChunkSpec, 0, len(m.added))
-	for start, end := range m.added {
-		specs = append(specs, ChunkSpec{Start: start, Count: end - start})
+	var specs []ChunkSpec
+	if m.next > 0 {
+		specs = append(specs, ChunkSpec{Count: m.next})
+	}
+	for _, p := range m.pending {
+		specs = append(specs, p.Spec)
 	}
 	sort.Slice(specs, func(a, b int) bool { return specs[a].Start < specs[b].Start })
 	return specs
@@ -315,9 +342,30 @@ func (m *Merger) Curve() (*Curve, error) {
 	if !m.Complete() {
 		return nil, fmt.Errorf("mc: merge incomplete: %d of %d batches folded", m.next, m.target)
 	}
+	return m.curve(0), nil
+}
+
+// curve renders measure mi (0 is the job's Value) from the folded prefix:
+// the final curve once the merge is complete, a partial one before. It is
+// converged once the run is: the rule met, or — without a rule — the whole
+// budget folded.
+func (m *Merger) curve(mi int) *Curve {
 	conf := m.rule.Confidence
 	if conf == 0 {
 		conf = 0.95
 	}
-	return buildCurve(m.times, m.accs, m.next, m.converged || !m.hasRule, conf), nil
+	points := len(m.times)
+	accs := m.accs[mi*points : (mi+1)*points]
+	curve := &Curve{
+		Times:     append([]float64(nil), m.times...),
+		Mean:      make([]float64, points),
+		Intervals: make([]stats.Interval, points),
+		Batches:   m.next,
+		Converged: m.converged || (!m.hasRule && m.next == m.target),
+	}
+	for i := range accs {
+		curve.Mean[i] = accs[i].Mean()
+		curve.Intervals[i] = accs[i].CI(conf)
+	}
+	return curve
 }

@@ -7,15 +7,16 @@
 // batch i always uses random stream i of the job's seed — so results do not
 // depend on the number of workers.
 //
-// Accumulation is canonical: batch contributions are folded in ascending
-// batch order into one Welford accumulator per round of CheckEvery batches,
-// and round accumulators are merged in ascending round order. Every
-// execution path shares this fold — the in-process parallel estimator, the
-// chunked estimator (EstimateChunk) and a distributed merge of chunk states
-// (Merger) — so for a fixed seed the estimate is bit-identical regardless
-// of worker count, chunking, or which machine simulated which stripe. That
-// property is what lets internal/cluster fan a job out to remote workers
-// and still return the exact curve a single process would produce.
+// Every estimate goes through one chunk step and one fold. A Chunker
+// simulates a chunk of the batch sequence and returns its sufficient
+// statistics: one Welford accumulator per grid point for every round of
+// CheckEvery batches, each folded in ascending batch order. A Merger folds
+// chunk states round by round in ascending batch order, checks the stop
+// rule at every round boundary of the contiguous prefix, and renders the
+// curve. EstimateCurve is that pair run in-process over one-round chunks;
+// internal/cluster runs the same pair with chunks simulated by remote
+// workers. So for a fixed seed the estimate is bit-identical regardless of
+// worker count, chunking, or which machine simulated which stripe.
 //
 // Importance sampling is expressed through sim.Options.Bias: each batch
 // contributes Value·LikelihoodRatio, which reduces to plain Value for
@@ -26,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -94,11 +94,11 @@ type Job struct {
 	// record from their own goroutines.
 	Telemetry telemetry.Sink
 	// Cause classifies the final marking of a stopped trajectory (e.g.
-	// core's ST1/ST2/ST3 catastrophic situations). EstimateCurve uses it
-	// for the Telemetry catastrophe counter (ignored when Telemetry is
-	// nil); EstimateChunk additionally folds the counts into the chunk's
-	// sufficient statistics so a distributed merge can reconstruct them.
-	// When Cause is nil no cause counts are recorded.
+	// core's ST1/ST2/ST3 catastrophic situations). Every chunk folds the
+	// counts into its sufficient statistics, so a merge reconstructs them
+	// wherever the chunks ran, and the Telemetry catastrophe counter uses
+	// the same classification. When Cause is nil no cause counts are
+	// recorded.
 	Cause func(mk *san.Marking) string
 }
 
@@ -152,127 +152,61 @@ func EstimateCurve(job Job) (*Curve, error) {
 // measures over the same trajectories (e.g. a breakdown of the unsafety by
 // catastrophic situation). The convergence rule still applies to the main
 // Value; the extra curves simply ride along, sharing every batch.
+//
+// The job is simulated as one-round chunks on one Chunker and folded by a
+// Merger, the path a distributed merge takes; Progress and Snapshot fire
+// after every fold.
 func EstimateCurveMulti(job Job, extras map[string]func(mk *san.Marking) float64) (*Curve, map[string]*Curve, error) {
-	if err := job.validate(); err != nil {
-		return nil, nil, err
-	}
-	extraNames := make([]string, 0, len(extras))
-	for name := range extras {
-		if extras[name] == nil {
+	names := make([]string, 0, len(extras))
+	for name, value := range extras {
+		if value == nil {
 			return nil, nil, fmt.Errorf("mc: nil extra value %q", name)
 		}
-		extraNames = append(extraNames, name)
+		names = append(names, name)
 	}
-	sort.Strings(extraNames)
-	if job.MaxBatches == 0 {
-		job.MaxBatches = 1_000_000
+	sort.Strings(names)
+	values := make([]func(*san.Marking) float64, len(names))
+	for i, name := range names {
+		values[i] = extras[name]
 	}
-	if job.CheckEvery == 0 {
-		job.CheckEvery = 2000
-	}
-	workers := job.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if job.Telemetry != nil && job.Sim.Sink == nil {
-		job.Sim.Sink = job.Telemetry
-	}
-
-	ctx := job.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	hasRule := job.StopRule != (stats.RelativeStopRule{})
-	maxRound := job.CheckEvery
-	if maxRound > job.MaxBatches {
-		maxRound = job.MaxBatches
-	}
-	pool, err := newRunnerPool(&job, extraNames, extras, workers, maxRound, false)
+	chunker, err := newChunker(job, values)
 	if err != nil {
 		return nil, nil, err
 	}
-	// measures[0] is the main Value; measures[1..] the extras in name order.
-	measures := len(extraNames) + 1
-	accs := make([][]stats.Welford, measures)
-	for mi := range accs {
-		accs[mi] = make([]stats.Welford, len(job.Times))
-	}
-
-	conf := job.StopRule.Confidence
-	if conf == 0 {
-		conf = 0.95
-	}
-
-	var done uint64
-	converged := false
-	for done < job.MaxBatches && !converged {
-		if err := ctx.Err(); err != nil {
+	m := newMerger(job, len(values)+1)
+	for !m.Complete() {
+		spec := ChunkSpec{Start: m.Done(), Count: min(m.roundSize, m.target-m.Done())}
+		state, err := chunker.Estimate(spec)
+		if err != nil {
 			return nil, nil, err
 		}
-		round := job.CheckEvery
-		if rem := job.MaxBatches - done; round > rem {
-			round = rem
-		}
-		if err := pool.runRound(ctx, done, round); err != nil {
+		if err := m.Add(state); err != nil {
 			return nil, nil, err
-		}
-		roundAccs := pool.foldRound(round)
-		for mi := range accs {
-			for i := range accs[mi] {
-				accs[mi][i].Merge(&roundAccs[mi][i])
-			}
-		}
-		done += round
-		if hasRule && job.StopRule.Satisfied(&accs[0][len(job.Times)-1]) {
-			converged = true
 		}
 		if job.Progress != nil {
-			job.Progress(done, job.MaxBatches)
+			job.Progress(m.Done(), m.Target())
 		}
 		if job.Snapshot != nil {
-			// A snapshot is converged only once the run is: rule satisfied,
-			// or (without a rule) the batch budget fully spent.
-			job.Snapshot(buildCurve(job.Times, accs[0], done,
-				converged || (!hasRule && done == job.MaxBatches), conf))
+			job.Snapshot(m.curve(0))
 		}
 	}
-
-	main := buildCurve(job.Times, accs[0], done, converged || !hasRule, conf)
 	var extraCurves map[string]*Curve
-	if len(extraNames) > 0 {
-		extraCurves = make(map[string]*Curve, len(extraNames))
-		for ei, name := range extraNames {
-			extraCurves[name] = buildCurve(job.Times, accs[ei+1], done, converged || !hasRule, conf)
+	if len(names) > 0 {
+		extraCurves = make(map[string]*Curve, len(names))
+		for i, name := range names {
+			extraCurves[name] = m.curve(i + 1)
 		}
 	}
-	return main, extraCurves, nil
+	return m.curve(0), extraCurves, nil
 }
 
-// buildCurve assembles a Curve from per-grid-point accumulators.
-func buildCurve(times []float64, accs []stats.Welford, batches uint64, converged bool, conf float64) *Curve {
-	curve := &Curve{
-		Times:     append([]float64(nil), times...),
-		Mean:      make([]float64, len(times)),
-		Intervals: make([]stats.Interval, len(times)),
-		Batches:   batches,
-		Converged: converged,
-	}
-	for i := range accs {
-		curve.Mean[i] = accs[i].Mean()
-		curve.Intervals[i] = accs[i].CI(conf)
-	}
-	return curve
-}
-
-// runnerPool is the shared simulation engine of the estimators: a set of
+// runnerPool is the simulation engine behind Chunker: a set of
 // per-goroutine runners that simulate a round of batches striped across
 // workers, buffering each batch's weighted contribution so the fold into
 // Welford accumulators can happen in canonical (ascending batch) order
 // afterwards, independent of scheduling.
 type runnerPool struct {
 	job      *Job
-	workers  int
 	points   int
 	measures int
 	states   []*poolWorker
@@ -287,28 +221,21 @@ type poolWorker struct {
 	runner *sim.Runner
 	probes []*sim.Probe
 	// causes counts stopped trajectories by classified cause; nil unless
-	// the pool was built with cause counting.
+	// the job sets Cause.
 	causes map[string]uint64
 }
 
-// newRunnerPool builds the engine for one job. maxRound bounds the round
-// buffer; countCauses enables per-trajectory cause classification through
-// job.Cause (used by the chunked estimator, where the classification must
-// travel with the sufficient statistics instead of a telemetry sink).
-func newRunnerPool(job *Job, extraNames []string, extras map[string]func(mk *san.Marking) float64, workers int, maxRound uint64, countCauses bool) (*runnerPool, error) {
-	points := len(job.Times)
+// newRunnerPool builds the engine for one job with defaults applied:
+// job.Workers runners, each probing Value and then the extra measures.
+func newRunnerPool(job *Job, extras []func(mk *san.Marking) float64) (*runnerPool, error) {
 	p := &runnerPool{
 		job:      job,
-		workers:  workers,
-		points:   points,
-		measures: len(extraNames) + 1,
+		points:   len(job.Times),
+		measures: len(extras) + 1,
+		states:   make([]*poolWorker, job.Workers),
+		vals:     make([][]float64, len(extras)+1),
 		src:      rng.NewSource(job.Seed),
 	}
-	p.vals = make([][]float64, p.measures)
-	for mi := range p.vals {
-		p.vals[mi] = make([]float64, maxRound*uint64(points))
-	}
-	p.states = make([]*poolWorker, workers)
 	for w := range p.states {
 		runner, err := sim.NewRunner(job.Model, job.Sim)
 		if err != nil {
@@ -316,10 +243,10 @@ func newRunnerPool(job *Job, extraNames []string, extras map[string]func(mk *san
 		}
 		pw := &poolWorker{runner: runner, probes: make([]*sim.Probe, p.measures)}
 		pw.probes[0] = &sim.Probe{Times: job.Times, Value: job.Value}
-		for ei, name := range extraNames {
-			pw.probes[ei+1] = &sim.Probe{Times: job.Times, Value: extras[name]}
+		for ei, value := range extras {
+			pw.probes[ei+1] = &sim.Probe{Times: job.Times, Value: value}
 		}
-		if countCauses && job.Cause != nil {
+		if job.Cause != nil {
 			pw.causes = make(map[string]uint64)
 		}
 		p.states[w] = pw
@@ -331,14 +258,20 @@ func newRunnerPool(job *Job, extraNames []string, extras map[string]func(mk *san
 // workers: worker w runs start+w, start+w+workers, ... — deterministic
 // regardless of scheduling. Contributions land in the round buffer.
 func (p *runnerPool) runRound(ctx context.Context, start, n uint64) error {
+	if need := int(n) * p.points; len(p.vals[0]) < need {
+		for mi := range p.vals {
+			p.vals[mi] = make([]float64, need)
+		}
+	}
+	workers := len(p.states)
 	var wg sync.WaitGroup
-	errs := make([]error, p.workers)
-	for w := 0; w < p.workers; w++ {
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			pw := p.states[w]
-			for b := uint64(w); b < n; b += uint64(p.workers) {
+			for b := uint64(w); b < n; b += uint64(workers) {
 				if err := ctx.Err(); err != nil {
 					errs[w] = err
 					return
@@ -349,11 +282,15 @@ func (p *runnerPool) runRound(ctx context.Context, start, n uint64) error {
 					errs[w] = err
 					return
 				}
-				if p.job.Telemetry != nil {
-					recordTrajectory(p.job, pw.runner, res)
+				var cause string
+				if res.Stopped && pw.causes != nil {
+					// The runner's marking still holds the absorbing
+					// state here; it is reused only by the next batch.
+					cause = p.job.Cause(pw.runner.Marking())
+					pw.causes[cause]++
 				}
-				if pw.causes != nil && res.Stopped {
-					pw.causes[p.job.Cause(pw.runner.Marking())]++
+				if p.job.Telemetry != nil {
+					recordTrajectory(p.job, res, cause)
 				}
 				base := b * uint64(p.points)
 				for mi, probe := range pw.probes {
@@ -382,47 +319,44 @@ func (p *runnerPool) runRound(ctx context.Context, start, n uint64) error {
 }
 
 // foldRound folds the buffered round into one fresh accumulator per measure
-// and grid point, adding contributions in ascending batch order. This is
-// the canonical accumulation order every execution path shares (see the
-// package comment), which is what makes estimates bit-identical across
-// worker counts and chunkings.
-func (p *runnerPool) foldRound(n uint64) [][]stats.Welford {
-	accs := make([][]stats.Welford, p.measures)
-	for mi := range accs {
-		accs[mi] = make([]stats.Welford, p.points)
-		vals := p.vals[mi]
+// and grid point, measure-major (see ChunkState.Rounds), adding
+// contributions in ascending batch order. This is the canonical
+// accumulation order of every estimate (see the package comment), which is
+// what makes estimates bit-identical across worker counts and chunkings.
+func (p *runnerPool) foldRound(n uint64) []stats.Welford {
+	row := make([]stats.Welford, p.measures*p.points)
+	for mi, vals := range p.vals {
+		accs := row[mi*p.points : (mi+1)*p.points]
 		for b := uint64(0); b < n; b++ {
 			base := b * uint64(p.points)
-			for i := 0; i < p.points; i++ {
-				accs[mi][i].Add(vals[base+uint64(i)])
+			for i := range accs {
+				accs[i].Add(vals[base+uint64(i)])
 			}
 		}
 	}
-	return accs
+	return row
 }
 
-// causeCounts merges the per-worker cause counters; nil when the pool does
-// not count causes.
-func (p *runnerPool) causeCounts() map[string]uint64 {
+// takeCauses returns the cause counts since the last call, merged across
+// workers, and resets them; nil when no trajectory was classified.
+func (p *runnerPool) takeCauses() map[string]uint64 {
 	var out map[string]uint64
 	for _, pw := range p.states {
-		if pw.causes == nil {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]uint64)
-		}
 		for k, v := range pw.causes {
+			if out == nil {
+				out = make(map[string]uint64)
+			}
 			out[k] += v
 		}
+		clear(pw.causes)
 	}
 	return out
 }
 
-// recordTrajectory publishes one finished trajectory to the job's telemetry
-// sink. Called from worker goroutines; the sink contract requires
-// concurrency safety.
-func recordTrajectory(job *Job, runner *sim.Runner, res sim.Result) {
+// recordTrajectory publishes one finished trajectory, and the cause it was
+// classified under, to the job's telemetry sink. Called from worker
+// goroutines; the sink contract requires concurrency safety.
+func recordTrajectory(job *Job, res sim.Result, cause string) {
 	t := job.Telemetry
 	t.Count(telemetry.MetricTrajectories, "")
 	t.Observe(telemetry.MetricTrajectorySteps, "", float64(res.Steps))
@@ -431,22 +365,6 @@ func recordTrajectory(job *Job, runner *sim.Runner, res sim.Result) {
 	}
 	t.Observe(telemetry.MetricTimeToKO, "", res.StopTime)
 	if job.Cause != nil {
-		// The runner's marking still holds the absorbing state here; the
-		// worker only reuses it for the next batch after recording.
-		t.Count(telemetry.MetricCatastrophes, job.Cause(runner.Marking())) //ahsvet:ignore locklabel Cause classifies into the model's fixed catastrophe-cause set
+		t.Count(telemetry.MetricCatastrophes, cause) //ahsvet:ignore locklabel Cause classifies into the model's fixed catastrophe-cause set
 	}
-}
-
-// EstimateAt is a convenience wrapper estimating the measure at a single
-// time point.
-func EstimateAt(job Job, t float64) (stats.Interval, error) {
-	job.Times = []float64{t}
-	if job.Sim.MaxTime == 0 {
-		job.Sim.MaxTime = t
-	}
-	curve, err := EstimateCurve(job)
-	if err != nil {
-		return stats.Interval{}, err
-	}
-	return curve.Intervals[0], nil
 }

@@ -149,24 +149,6 @@ func TestImportanceSamplingCurveOnRareEvent(t *testing.T) {
 	}
 }
 
-func TestEstimateAt(t *testing.T) {
-	const rate = 1.0
-	m, alive := buildPureDeath(rate)
-	iv, err := EstimateAt(Job{
-		Model:      m,
-		Value:      deadIndicator(alive),
-		Seed:       5,
-		MaxBatches: 20000,
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1 - math.Exp(-1.0)
-	if iv.Lo > want || want > iv.Hi {
-		t.Fatalf("interval %v does not cover %v", iv, want)
-	}
-}
-
 func TestJobValidation(t *testing.T) {
 	m, alive := buildPureDeath(1)
 	value := deadIndicator(alive)
@@ -389,73 +371,5 @@ func TestProgressReportsEveryRound(t *testing.T) {
 	}
 	if curve.Batches != 1000 {
 		t.Fatalf("batches %d", curve.Batches)
-	}
-}
-
-func buildMM1KForSteady(k int, lambda, mu float64) (*san.Model, san.PlaceID) {
-	b := san.NewBuilder("mm1k-steady")
-	q := b.Place("queue", 0)
-	b.Timed(san.TimedActivity{
-		Name:    "arrive",
-		Enabled: func(m *san.Marking) bool { return m.Tokens(q) < k },
-		Rate:    san.ConstRate(lambda),
-		Input:   san.Produce(q, 1),
-	})
-	b.Timed(san.TimedActivity{
-		Name:    "depart",
-		Enabled: san.HasTokens(q, 1),
-		Rate:    san.ConstRate(mu),
-		Input:   san.Consume(q, 1),
-	})
-	return b.MustBuild(), q
-}
-
-func TestEstimateSteadyStateMM1K(t *testing.T) {
-	// Long-run mean queue length of M/M/1/K, against the closed form
-	// Σ i·π_i with π_i ∝ ρ^i.
-	const k = 6
-	const lambda, mu = 1.0, 2.0
-	m, q := buildMM1KForSteady(k, lambda, mu)
-	iv, err := EstimateSteadyState(SteadyStateJob{
-		Model:   m,
-		Value:   func(mk *san.Marking) float64 { return float64(mk.Tokens(q)) },
-		Horizon: 4000,
-		Seed:    9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rho := lambda / mu
-	norm, want := 0.0, 0.0
-	p := 1.0
-	for i := 0; i <= k; i++ {
-		norm += p
-		want += float64(i) * p
-		p *= rho
-	}
-	want /= norm
-	if math.Abs(iv.Point-want) > 3*iv.HalfWidth()+0.02*want {
-		t.Fatalf("steady-state mean %v, want %v", iv, want)
-	}
-	if iv.HalfWidth() <= 0 {
-		t.Fatal("degenerate steady-state interval")
-	}
-}
-
-func TestEstimateSteadyStateValidation(t *testing.T) {
-	m, q := buildMM1KForSteady(3, 1, 2)
-	value := func(mk *san.Marking) float64 { return float64(mk.Tokens(q)) }
-	cases := map[string]SteadyStateJob{
-		"nil model":   {Value: value, Horizon: 10},
-		"nil value":   {Model: m, Horizon: 10},
-		"no horizon":  {Model: m, Value: value},
-		"bad warmup":  {Model: m, Value: value, Horizon: 10, WarmupFraction: 1},
-		"one batch":   {Model: m, Value: value, Horizon: 10, Batches: 1},
-		"neg samples": {Model: m, Value: value, Horizon: 10, SamplesPerBatch: -1},
-	}
-	for name, job := range cases {
-		if _, err := EstimateSteadyState(job); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
 	}
 }

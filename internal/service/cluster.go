@@ -12,8 +12,8 @@ import (
 // the swap invisible to callers: the merged curve is bit-identical to the
 // local evaluation of the same scenario, so cached results, dedup by
 // scenario hash, and the HTTP API all behave exactly as with the local
-// backend. workers bounds the parallelism of any locally executed batches
-// (the coordinator's no-worker fallback and mid-job rescue).
+// backend. workers bounds the parallelism of the chunks the coordinator
+// simulates itself while no live worker is registered.
 func ClusterEval(coord *cluster.Coordinator) EvalFunc {
 	return func(ctx context.Context, sc *config.Scenario, workers int, progress func(done, max uint64)) (*Result, error) {
 		hash, err := sc.Hash()
@@ -24,22 +24,7 @@ func ClusterEval(coord *cluster.Coordinator) EvalFunc {
 		if err != nil {
 			return nil, err
 		}
-		res := &Result{
-			Name:         sc.Name,
-			ScenarioHash: hash,
-			Times:        curve.Times,
-			Unsafety:     curve.Mean,
-			CILo:         make([]float64, len(curve.Intervals)),
-			CIHi:         make([]float64, len(curve.Intervals)),
-			Batches:      curve.Batches,
-			Converged:    curve.Converged,
-			FailureBias:  bias,
-		}
-		for i, iv := range curve.Intervals {
-			res.CILo[i] = iv.Lo
-			res.CIHi[i] = iv.Hi
-		}
-		return res, nil
+		return curveResult(sc.Name, hash, curve, bias), nil
 	}
 }
 
@@ -50,7 +35,7 @@ func ClusterBackend(coord *cluster.Coordinator) func() BackendHealth {
 		st := coord.Status()
 		return BackendHealth{
 			Mode:              "cluster",
-			Ready:             true, // no workers → transparent local fallback
+			Ready:             true, // no live workers → the coordinator simulates locally
 			WorkersRegistered: st.WorkersRegistered,
 			WorkersLive:       st.WorkersLive,
 			RecoveredJobs:     st.RecoveredJobs,
