@@ -207,7 +207,7 @@ figures:
 	$(GO) run ./cmd/ahs-experiments -fig all
 
 # Paper-quality figures with CSV, SVG and a self-contained HTML report
-# (roughly 20 minutes on one core; deterministic for a fixed seed).
+# (about a minute on a 2-vCPU VM; deterministic for a fixed seed).
 figures-full:
 	$(GO) run ./cmd/ahs-experiments -fig all -batches 20000 -seed 1 \
 		-csv docs/results -svg docs/svg -html docs/report.html

@@ -74,24 +74,52 @@ func BenchmarkFig14(b *testing.B) { benchFigure(b, experiments.Fig14) }
 // coordination strategies.
 func BenchmarkFig15(b *testing.B) { benchFigure(b, experiments.Fig15) }
 
-// BenchmarkTrajectory measures the cost of one simulated trajectory of the
-// default configuration over a 10-hour horizon (the unit of work every
-// estimate above is made of).
+// BenchmarkTrajectory measures the cost of one simulated trajectory, the
+// unit of work every estimate above is made of. The n=10 cases run each
+// strategy over a 10-hour horizon under the suggested failure bias, as the
+// paper's figures do; per-op numbers are per trajectory. The n=2 case is
+// shaped like one point of ahsbench's sweep-writes workload (λ=0.5/hr, a
+// 1-hour trip, 32 batches), so its per-op number is per point and includes
+// setting up the runners; it shows a regression on cheap small models.
 func BenchmarkTrajectory(b *testing.B) {
-	sys, err := ahs.New(ahs.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
+	for _, s := range ahs.AllStrategies() {
+		b.Run(s.String(), func(b *testing.B) {
+			sys, err := ahs.New(ahs.DefaultParams().WithStrategy(s))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			// Reuse the curve machinery with exactly b.N batches so the
+			// per-op number is per trajectory.
+			_, err = sys.UnsafetyCurve(ahs.EvalOptions{
+				Times:       []float64{10},
+				Seed:        1,
+				MaxBatches:  uint64(b.N),
+				FailureBias: sys.SuggestedFailureBias(10),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
-	b.ReportAllocs()
-	// Reuse the curve machinery with exactly b.N batches so the per-op
-	// number is per trajectory.
-	_, err = sys.UnsafetyCurve(ahs.EvalOptions{
-		Times:       []float64{10},
-		Seed:        1,
-		MaxBatches:  uint64(b.N),
-		FailureBias: sys.SuggestedFailureBias(10),
+	b.Run("n=2-point", func(b *testing.B) {
+		p := ahs.DefaultParams().WithPlatoonSize(2)
+		p.Lambda = 0.5
+		sys, err := ahs.New(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, err := sys.UnsafetyCurve(ahs.EvalOptions{
+				Times:       []float64{0.5, 1},
+				Seed:        1,
+				MaxBatches:  32,
+				FailureBias: sys.SuggestedFailureBias(1),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 }

@@ -338,9 +338,16 @@ func (c *Coordinator) UnsafetyCurve(ctx context.Context, sc *config.Scenario, lo
 			obs.String("journal-trace", traceparentOf(j.trace)))
 		j.trace = span.Context()
 		j.span = span
+		rebuildErr := j.err
 		c.mu.Unlock()
-		c.cfg.Logf("cluster: job %d for %s adopted from journal (%d/%d batches already merged)",
-			j.id, shortHash(sc), j.merger.Done(), j.merger.Target())
+		if j.merger == nil {
+			// The journaled scenario no longer builds: restore finished
+			// the job with the rebuild error, which await returns.
+			c.cfg.Logf("cluster: job %d for %s adopted from journal: %v", j.id, shortHash(sc), rebuildErr)
+		} else {
+			c.cfg.Logf("cluster: job %d for %s adopted from journal (%d/%d batches already merged)",
+				j.id, shortHash(sc), j.merger.Done(), j.merger.Target())
+		}
 		curve, b, err := c.await(ctx, j)
 		span.RecordError(err)
 		return curve, b, err

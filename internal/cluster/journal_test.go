@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,6 +227,49 @@ func TestRestoreDropsStoreServedJobs(t *testing.T) {
 	defer coord4.Close()
 	if st := coord4.Status(); st.RecoveredJobs != 0 {
 		t.Fatalf("RecoveredJobs = %d after journaled drop, want 0", st.RecoveredJobs)
+	}
+}
+
+// TestAdoptUnbuildableJournaledJob: a journaled job whose scenario no
+// longer builds is restored finished with the rebuild error; submitting
+// that scenario again adopts the job and returns the error instead of
+// reading the merger the failed rebuild never made.
+func TestAdoptUnbuildableJournaledJob(t *testing.T) {
+	dir := t.TempDir()
+	sc := testScenario(1000)
+	sc.Strategy = "XX"
+	sc = sc.Canonical()
+	hash, err := sc.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(JournalConfig{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.append(journalRecord{Type: recSubmit, Job: 1, Scenario: sc, Hash: hash, RoundSize: 500, ChunkBatches: 500, LocalWorkers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(JournalConfig{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	coord := New(Config{Journal: j2, Logf: t.Logf})
+	defer coord.Close()
+	if st := coord.Status(); st.RecoveredJobs != 1 {
+		t.Fatalf("RecoveredJobs = %d, want the unbuildable job restored", st.RecoveredJobs)
+	}
+	curve, _, err := coord.UnsafetyCurve(context.Background(), sc, 1, nil)
+	if err == nil || !strings.Contains(err.Error(), "rebuild journaled job 1") {
+		t.Fatalf("adopting the unbuildable job: curve %v, err %v; want the rebuild error", curve, err)
+	}
+	if st := coord.Status(); st.RecoveredJobs != 0 || st.ActiveJobs != 0 {
+		t.Fatalf("after adoption: %+v, want the job gone", st)
 	}
 }
 

@@ -137,7 +137,12 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.deregister(hard)
 			return nil
 		}
-		lease, err := w.lease(ctx)
+		// The lease request runs under the hard context: a drain that
+		// lands while the coordinator is granting a lease must not drop
+		// the answer, or the deregister below would requeue a lease this
+		// worker never saw. A drain waits at most RequestTimeout for it,
+		// and the loop top sends no new request once drained.
+		lease, err := w.lease(hard)
 		switch {
 		case err != nil:
 			var pe *permanentError

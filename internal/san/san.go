@@ -23,6 +23,7 @@ package san
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -33,7 +34,9 @@ type PlaceID int
 type ExtPlaceID int
 
 // Predicate decides whether an activity is enabled in a marking. Predicates
-// must not modify the marking.
+// must not modify the marking. A timed activity's predicate must be a
+// deterministic function of the marking, read only through its accessor
+// methods: sim.Runner re-evaluates it only when a place it has read changes.
 type Predicate func(m *Marking) bool
 
 // Effect applies a marking change (an input- or output-gate function).
@@ -41,7 +44,10 @@ type Effect func(m *Marking)
 
 // RateFn returns the instantaneous firing rate of a timed activity in a
 // marking. It is only consulted while the activity is enabled and must
-// return a strictly positive, finite value there.
+// return a strictly positive, finite value there. Like a Predicate, it must
+// be a deterministic function of the marking, read only through its
+// accessor methods: sim.Runner re-evaluates it only when a place it has
+// read changes.
 type RateFn func(m *Marking) float64
 
 // WeightFn returns the (unnormalised) weight of a case in a marking.
@@ -196,8 +202,10 @@ func (m *Model) InitialMarking() *Marking {
 // write performed through a Marking's accessor methods. It is the
 // introspection hook behind static model analysis: internal/sanlint uses it
 // to discover which places each predicate, rate, weight and effect actually
-// touches, without parsing any code. Simulation leaves the observer nil,
-// which costs one predictable branch per access.
+// touches, without parsing any code. sim.Runner attaches one only while it
+// evaluates timed activities, to learn which places each of them reads;
+// otherwise the observer is nil, which costs one predictable branch per
+// access.
 //
 // Observer callbacks must not mutate the marking.
 type AccessObserver interface {
@@ -249,6 +257,30 @@ func (mk *Marking) CopyFrom(src *Marking) {
 	for i, e := range src.ext {
 		mk.ext[i] = append(mk.ext[i][:0], e...)
 	}
+}
+
+// CopyChanged makes mk equal to src, like CopyFrom, and appends the simple
+// and extended places whose contents differed to places and exts. It reads
+// both markings directly, without observer notifications; the simulator
+// uses it to find the places a completion changed.
+func (mk *Marking) CopyChanged(src *Marking, places []PlaceID, exts []ExtPlaceID) ([]PlaceID, []ExtPlaceID) {
+	if mk.model != src.model {
+		panic("san: CopyChanged across models")
+	}
+	dst := mk.tokens[:len(src.tokens)]
+	for i, n := range src.tokens {
+		if dst[i] != n {
+			dst[i] = n
+			places = append(places, PlaceID(i))
+		}
+	}
+	for i, e := range src.ext {
+		if !slices.Equal(mk.ext[i], e) {
+			mk.ext[i] = append(mk.ext[i][:0], e...)
+			exts = append(exts, ExtPlaceID(i))
+		}
+	}
+	return places, exts
 }
 
 // Equal reports whether two markings of the same model are identical.

@@ -531,3 +531,33 @@ func TestMarkingEqualDiffersOnExt(t *testing.T) {
 		t.Fatal("CopyFrom did not reproduce ext state")
 	}
 }
+
+func TestMarkingCopyChangedListsDifferingPlaces(t *testing.T) {
+	b := NewBuilder("changed")
+	p := b.Place("p", 1)
+	b.Place("q", 2)
+	r := b.Place("r", 0)
+	e := b.ExtPlace("arr", []int{1, 2})
+	f := b.ExtPlace("same", []int{7})
+	b.Timed(TimedActivity{Name: "t", Rate: ConstRate(1)})
+	m := b.MustBuild()
+	last, cur := m.InitialMarking(), m.InitialMarking()
+	cur.Add(p, 1)
+	cur.SetTokens(r, 3)
+	cur.ExtAppend(e, 3) // a length change
+	cur.ExtSet(f, 0, 8)
+	cur.ExtSet(f, 0, 7) // changed and changed back: equal again
+	places, exts := last.CopyChanged(cur, nil, nil)
+	if len(places) != 2 || places[0] != p || places[1] != r {
+		t.Fatalf("changed places %v, want [%d %d]", places, p, r)
+	}
+	if len(exts) != 1 || exts[0] != e {
+		t.Fatalf("changed ext places %v, want [%d]", exts, e)
+	}
+	if !last.Equal(cur) {
+		t.Fatal("CopyChanged did not make the markings equal")
+	}
+	if places, exts = last.CopyChanged(cur, places[:0], exts[:0]); len(places)+len(exts) != 0 {
+		t.Fatalf("equal markings reported changes %v %v", places, exts)
+	}
+}

@@ -17,12 +17,28 @@
 // rare-event measures (the paper's unsafety at λ = 1e-6/hr and below) can
 // be estimated without the astronomically many batches naive simulation
 // would need.
+//
+// The scan is incremental. The Runner caches every timed activity's rate
+// and biased rate (0 while disabled) and learns, through a
+// san.AccessObserver attached only while it evaluates activities, which
+// places each activity's predicate, rate and bias factor have read. After
+// a completion and its instantaneous closure it compares the marking with
+// the one it last evaluated in and re-evaluates, in ascending index order,
+// only the activities that read a changed place. Predicates, rates and
+// factors are deterministic functions of the marking read through its
+// accessors (see san.Predicate), so an activity none of whose read places
+// changed would return what it returned before. The cached rates are
+// summed in activity-index order, which keeps every trajectory and
+// likelihood ratio bit-identical to a full rescan of all activities in
+// every marking — the dependency graph of Gibson & Bruck's next-reaction
+// method, without its clocks.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"ahs/internal/rng"
@@ -47,24 +63,34 @@ type Observer interface {
 
 // FactorFn returns a marking-dependent bias multiplier. It must return
 // strictly positive finite values; returning 1 leaves the rate unchanged.
+// Like a san.Predicate, it must be a deterministic function of the marking,
+// read only through its accessor methods: the Runner re-evaluates it only
+// when a place it has read changes.
 type FactorFn func(mk *san.Marking) float64
 
 // Bias specifies importance-sampling rate multipliers per timed activity,
 // either constant or marking-dependent (adaptive forcing, e.g. "force
 // failures only while fewer than two are active"). The zero value (or nil
-// pointer) means no biasing.
+// pointer) means no biasing. A Bias must not change while a Runner uses it.
 //
-// Marking-dependent factors are sound because the executor recomputes both
-// the original and the biased total rate in every visited marking and
-// accumulates the per-step likelihood ratio accordingly.
+// Marking-dependent factors are sound because the executor holds both the
+// original and the biased rate of every activity up to date in every
+// visited marking and accumulates the per-step likelihood ratio
+// accordingly.
 type Bias struct {
-	factors map[int]float64  // timed activity index -> constant multiplier
-	fns     map[int]FactorFn // timed activity index -> adaptive multiplier
+	factors []float64  // by timed activity index; 1 where unset
+	fns     []FactorFn // by timed activity index; nil where unset
 }
 
 // NewBias returns an empty bias specification.
-func NewBias() *Bias {
-	return &Bias{factors: make(map[int]float64), fns: make(map[int]FactorFn)}
+func NewBias() *Bias { return &Bias{} }
+
+// grow extends the dense slices to cover activity index.
+func (b *Bias) grow(index int) {
+	for len(b.factors) <= index {
+		b.factors = append(b.factors, 1)
+		b.fns = append(b.fns, nil)
+	}
 }
 
 // SetByName sets the multiplier for the named timed activity. It returns an
@@ -83,8 +109,12 @@ func (b *Bias) Set(index int, factor float64) error {
 	if !(factor > 0) || math.IsInf(factor, 1) {
 		return fmt.Errorf("sim: invalid bias factor %v", factor)
 	}
+	if index < 0 {
+		return fmt.Errorf("sim: invalid activity index %d", index)
+	}
+	b.grow(index)
 	b.factors[index] = factor
-	delete(b.fns, index)
+	b.fns[index] = nil
 	return nil
 }
 
@@ -94,8 +124,12 @@ func (b *Bias) SetFn(index int, fn FactorFn) error {
 	if fn == nil {
 		return fmt.Errorf("sim: nil bias factor function")
 	}
+	if index < 0 {
+		return fmt.Errorf("sim: invalid activity index %d", index)
+	}
+	b.grow(index)
 	b.fns[index] = fn
-	delete(b.factors, index)
+	b.factors[index] = 1
 	return nil
 }
 
@@ -112,31 +146,25 @@ func (b *Bias) SetFnByName(m *san.Model, name string, fn FactorFn) error {
 // Factor returns the constant multiplier for a timed activity index
 // (1 by default or when the activity uses an adaptive factor).
 func (b *Bias) Factor(index int) float64 {
-	if b == nil || b.factors == nil {
+	if b == nil || uint(index) >= uint(len(b.factors)) {
 		return 1
 	}
-	if f, ok := b.factors[index]; ok {
-		return f
-	}
-	return 1
+	return b.factors[index]
 }
 
 // FactorIn returns the multiplier for a timed activity in a marking.
 func (b *Bias) FactorIn(index int, mk *san.Marking) (float64, error) {
-	if b == nil {
+	if b == nil || uint(index) >= uint(len(b.factors)) {
 		return 1, nil
 	}
-	if fn, ok := b.fns[index]; ok {
+	if fn := b.fns[index]; fn != nil {
 		f := fn(mk)
 		if !(f > 0) || math.IsInf(f, 1) {
 			return 0, fmt.Errorf("sim: adaptive bias factor %v for activity %d", f, index)
 		}
 		return f, nil
 	}
-	if f, ok := b.factors[index]; ok {
-		return f, nil
-	}
-	return 1, nil
+	return b.factors[index], nil
 }
 
 // IsNeutral reports whether the bias can be statically proven to change no
@@ -145,11 +173,8 @@ func (b *Bias) IsNeutral() bool {
 	if b == nil {
 		return true
 	}
-	if len(b.fns) > 0 {
-		return false
-	}
-	for _, f := range b.factors {
-		if f != 1 {
+	for i, f := range b.factors {
+		if f != 1 || b.fns[i] != nil {
 			return false
 		}
 	}
@@ -195,15 +220,6 @@ type Options struct {
 	// activity name, which keeps the disabled path to a single nil check
 	// and the enabled path allocation-free.
 	Sink telemetry.Sink
-	// ConstantGates maps timed-activity names to statically certified
-	// constant enabling-predicate values (typically structural
-	// ModelFacts.ConstantTimedGates). Listed activities skip the predicate
-	// call on every scan: true means always enabled, false means the
-	// activity is dropped from the race entirely. Certification is the
-	// caller's burden — a wrong entry silently changes trajectories.
-	// Names that are not timed activities of the model are rejected by
-	// NewRunner.
-	ConstantGates map[string]bool
 }
 
 // Result summarises one executed trajectory.
@@ -294,23 +310,54 @@ type Runner struct {
 	opts     Options
 	instants *instantEngine
 
-	rates   []float64
-	biased  []float64
-	enabled []int
 	marking *san.Marking
 	initial *san.Marking
 
-	// gates[i] tells scanTimed how to treat timed activity i's predicate.
-	gates []gateMode
+	// rates[i] and biased[i] are timed activity i's rate and biased rate
+	// in last, or 0 while it is disabled there. cumRates[i] and
+	// cumBiased[i] are their running sums over the activities below i,
+	// valid up to index stale.
+	rates, biased       []float64
+	cumRates, cumBiased []float64
+	stale               int
+	// last is the marking rates and biased were last brought up to date in.
+	last *san.Marking
+	// dirty is the bitset of activities to re-evaluate before the next
+	// draw, over activity indices.
+	dirty []uint64
+	reads readSet
+	// changedPlaces and changedExts are refresh's reusable buffers.
+	changedPlaces []san.PlaceID
+	changedExts   []san.ExtPlaceID
+
+	// baseRates and baseBiased are the runner's first complete
+	// evaluation, made in baseMarking (nil until then); every trajectory
+	// starts from it.
+	baseRates, baseBiased []float64
+	baseMarking           *san.Marking
 }
 
-type gateMode int8
+// readSet is the san.AccessObserver a Runner attaches to its marking while
+// it evaluates timed activities. It records, per place, the bitset of
+// activities that have ever read it; the sets only grow, so they stay a
+// sound over-approximation of what each activity's next evaluation reads.
+type readSet struct {
+	// readers holds one bitset of words uint64s per place: simple places
+	// first, then extended places from slot exts.
+	readers []uint64
+	words   int
+	exts    int
+	// word and bit locate the activity being evaluated.
+	word int
+	bit  uint64
+}
 
-const (
-	gateDynamic   gateMode = iota // evaluate EnabledIn as usual
-	gateAlwaysOn                  // certified constant true: skip the call
-	gateAlwaysOff                 // certified constant false: skip the activity
-)
+func (s *readSet) ReadPlace(p san.PlaceID) { s.readers[int(p)*s.words+s.word] |= s.bit }
+func (s *readSet) ReadExtPlace(p san.ExtPlaceID) {
+	s.readers[(s.exts+int(p))*s.words+s.word] |= s.bit
+}
+func (s *readSet) WritePlace(san.PlaceID)       {}
+func (s *readSet) WriteExtPlace(san.ExtPlaceID) {}
 
 // NewRunner validates options and returns a Runner for the model.
 func NewRunner(model *san.Model, opts Options) (*Runner, error) {
@@ -323,7 +370,8 @@ func NewRunner(model *san.Model, opts Options) (*Runner, error) {
 	if opts.MaxInstantFirings == 0 {
 		opts.MaxInstantFirings = 100_000
 	}
-	for i := 0; i < model.NumTimed(); i++ {
+	n := model.NumTimed()
+	for i := 0; i < n; i++ {
 		if act := model.Timed(i); !act.Exponential() {
 			return nil, fmt.Errorf("sim: activity %q has a general delay distribution; use NewGeneralRunner", act.Name)
 		}
@@ -334,83 +382,160 @@ func NewRunner(model *san.Model, opts Options) (*Runner, error) {
 		initial:  model.InitialMarking(),
 		instants: newInstantEngine(model, opts.MaxInstantFirings),
 	}
-	if len(opts.ConstantGates) > 0 {
-		r.gates = make([]gateMode, model.NumTimed())
-		matched := 0
-		for i := 0; i < model.NumTimed(); i++ {
-			v, ok := opts.ConstantGates[model.Timed(i).Name]
-			if !ok {
-				continue
-			}
-			matched++
-			if v {
-				r.gates[i] = gateAlwaysOn
-			} else {
-				r.gates[i] = gateAlwaysOff
-			}
-		}
-		if matched != len(opts.ConstantGates) {
-			for name := range opts.ConstantGates {
-				if !hasTimed(model, name) {
-					return nil, fmt.Errorf("sim: ConstantGates names unknown timed activity %q", name)
-				}
-			}
-		}
-	}
 	r.marking = r.initial.Clone()
-	return r, nil
-}
-
-func hasTimed(model *san.Model, name string) bool {
-	for i := 0; i < model.NumTimed(); i++ {
-		if model.Timed(i).Name == name {
-			return true
-		}
+	r.last = r.initial.Clone()
+	f := make([]float64, 6*n+2) // one allocation for the six arrays
+	take := func(k int) []float64 {
+		s := f[:k:k]
+		f = f[k:]
+		return s
 	}
-	return false
+	r.rates, r.biased = take(n), take(n)
+	r.cumRates, r.cumBiased = take(n+1), take(n+1)
+	r.baseRates, r.baseBiased = take(n), take(n)
+	words := (n + 63) / 64
+	slots := model.NumPlaces() + model.NumExtPlaces()
+	sets := make([]uint64, (slots+1)*words)
+	r.dirty = sets[:words:words]
+	r.reads = readSet{readers: sets[words:], words: words, exts: model.NumPlaces()}
+	return r, nil
 }
 
 // Model returns the model being executed.
 func (r *Runner) Model() *san.Model { return r.model }
 
-// scanTimed fills r.enabled/r.rates/r.biased for the current marking and
-// returns the original and biased total rates.
-func (r *Runner) scanTimed() (total, biasedTotal float64, err error) {
-	r.enabled = r.enabled[:0]
-	r.rates = r.rates[:0]
-	r.biased = r.biased[:0]
-	for i := 0; i < r.model.NumTimed(); i++ {
-		act := r.model.Timed(i)
-		if r.gates != nil {
-			switch r.gates[i] {
-			case gateAlwaysOff:
-				continue
-			case gateAlwaysOn:
-				// certified enabled: skip the predicate call
-			default:
-				if !act.EnabledIn(r.marking) {
-					continue
-				}
-			}
-		} else if !act.EnabledIn(r.marking) {
-			continue
+// restore resets the cached evaluation to the runner's first complete one,
+// or marks every activity for evaluation while it has none.
+func (r *Runner) restore() {
+	r.stale = 0
+	if r.baseMarking == nil {
+		for i := range r.rates {
+			r.dirty[i>>6] |= 1 << (i & 63)
 		}
-		rate, rerr := act.RateIn(r.marking)
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-		factor, rerr := r.opts.Bias.FactorIn(i, r.marking)
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-		b := rate * factor
-		r.enabled = append(r.enabled, i)
-		r.rates = append(r.rates, rate)
-		r.biased = append(r.biased, b)
-		total += rate
-		biasedTotal += b
+		return
 	}
-	return total, biasedTotal, nil
+	copy(r.rates, r.baseRates)
+	copy(r.biased, r.baseBiased)
+	r.last.CopyFrom(r.baseMarking)
+	clear(r.dirty)
+}
+
+// refresh brings rates and biased up to date with the current marking and
+// returns their sums in activity-index order: the original and biased
+// total rates. It re-evaluates only the activities that read a place whose
+// value differs from last, and re-accumulates the running sums only from
+// the first activity whose rates changed: adding the same values in the
+// same order gives the same sums.
+func (r *Runner) refresh() (total, biasedTotal float64, err error) {
+	r.changedPlaces, r.changedExts = r.last.CopyChanged(r.marking, r.changedPlaces[:0], r.changedExts[:0])
+	for _, p := range r.changedPlaces {
+		r.markReaders(int(p))
+	}
+	for _, p := range r.changedExts {
+		r.markReaders(r.reads.exts + int(p))
+	}
+	r.marking.SetObserver(&r.reads)
+	err = r.evalDirty()
+	r.marking.SetObserver(nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	if r.baseMarking == nil {
+		copy(r.baseRates, r.rates)
+		copy(r.baseBiased, r.biased)
+		r.baseMarking = r.last.Clone()
+	}
+	n := len(r.rates)
+	if i := r.stale; i < n {
+		total, biasedTotal = r.cumRates[i], r.cumBiased[i]
+		for ; i < n; i++ {
+			total += r.rates[i]
+			biasedTotal += r.biased[i]
+			r.cumRates[i+1], r.cumBiased[i+1] = total, biasedTotal
+		}
+		r.stale = n
+	}
+	return r.cumRates[n], r.cumBiased[n], nil
+}
+
+// draw picks the completing activity under the biased measure exactly as
+// rng.Stream.Choice(r.biased) would: with u = U·Λ', the first activity of
+// positive biased rate whose running sum exceeds u. Choice's running sum
+// skips zero rates, which changes no sum, so it equals cumBiased[i+1] at
+// activity i, and the first i with u < cumBiased[i+1] can be found by
+// bisection. That i never has a zero rate: its running sum would equal
+// the one before.
+func (r *Runner) draw(stream *rng.Stream, biasedTotal float64) int {
+	if biasedTotal <= 0 {
+		panic("sim: no positive biased rate to draw from")
+	}
+	u := stream.Float64() * biasedTotal
+	lo, hi := 0, len(r.biased)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < r.cumBiased[mid+1] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < len(r.biased) {
+		return lo
+	}
+	// Floating-point slack, as in Choice: the last positive-rate activity.
+	i := len(r.biased) - 1
+	for r.biased[i] <= 0 {
+		i--
+	}
+	return i
+}
+
+// markReaders adds every activity that has read place slot s to dirty.
+func (r *Runner) markReaders(s int) {
+	w := r.reads.words
+	for i, set := range r.reads.readers[s*w : (s+1)*w] {
+		r.dirty[i] |= set
+	}
+}
+
+// evalDirty re-evaluates the dirty activities in ascending index order, so
+// an invalid rate names the same activity a full scan would, and clears
+// them.
+func (r *Runner) evalDirty() error {
+	for w, word := range r.dirty {
+		r.dirty[w] = 0
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			r.reads.word, r.reads.bit = w, 1<<b
+			if err := r.eval(w<<6 | b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// eval evaluates timed activity i in the current marking.
+func (r *Runner) eval(i int) error {
+	act := r.model.Timed(i)
+	var rate, biased float64
+	if act.EnabledIn(r.marking) {
+		var err error
+		if rate, err = act.RateIn(r.marking); err != nil {
+			return err
+		}
+		factor, err := r.opts.Bias.FactorIn(i, r.marking)
+		if err != nil {
+			return err
+		}
+		biased = rate * factor
+	}
+	if i < r.stale && (math.Float64bits(rate) != math.Float64bits(r.rates[i]) ||
+		math.Float64bits(biased) != math.Float64bits(r.biased[i])) {
+		r.stale = i
+	}
+	r.rates[i], r.biased[i] = rate, biased
+	return nil
 }
 
 // Run executes one trajectory from the model's initial marking using the
@@ -435,6 +560,7 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 	if t0 < 0 || t0 >= r.opts.MaxTime {
 		return res, fmt.Errorf("sim: start time %v outside [0, MaxTime)", t0)
 	}
+	r.restore()
 	if start == nil {
 		r.marking.CopyFrom(r.initial)
 	} else {
@@ -462,11 +588,13 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 	}
 
 	for {
-		total, biasedTotal, err := r.scanTimed()
+		total, biasedTotal, err := r.refresh()
 		if err != nil {
 			return res, err
 		}
-		if len(r.enabled) == 0 {
+		// Rates are strictly positive while enabled, so a zero total
+		// means no activity is.
+		if total <= 0 {
 			// Deadlock: the marking no longer changes; sample all
 			// remaining probe points from it. With no enabled activities
 			// the original and biased survival probabilities both equal
@@ -493,11 +621,11 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 		r.fillProbes(probes, next, tNext, false, t, logLR, total, biasedTotal)
 
 		// Choose the completing activity under the biased measure.
-		k := stream.Choice(r.biased)
+		k := r.draw(stream, biasedTotal)
 		logLR += math.Log(r.rates[k]/r.biased[k]) + (biasedTotal-total)*tau
 
 		t = tNext
-		act := r.model.Timed(r.enabled[k])
+		act := r.model.Timed(k)
 		caseIdx, err := r.instants.chooseCase(act.Name, act.Cases, r.marking, stream)
 		if err != nil {
 			return res, err

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -716,17 +717,19 @@ func TestRunFromProbeBeforeStartLeftAtDefault(t *testing.T) {
 	}
 }
 
-// buildGated returns a birth model with an always-true guard on the arrival
-// activity and a never-true guard on a poison activity, both instrumented to
-// count predicate evaluations.
+// buildGated returns a birth model whose arrival activity is guarded by an
+// always-true test and whose poison activity by a never-true test, both on
+// a mode place that no activity writes, and both instrumented to count
+// predicate evaluations.
 func buildGated(alwaysCalls, neverCalls *int) (*san.Model, san.PlaceID) {
 	b := san.NewBuilder("gated")
 	c := b.Place("count", 0)
+	mode := b.Place("mode", 1)
 	b.Timed(san.TimedActivity{
 		Name: "arrive",
 		Enabled: func(mk *san.Marking) bool {
 			*alwaysCalls++
-			return true
+			return mk.Tokens(mode) == 1
 		},
 		Rate:  san.ConstRate(3),
 		Input: san.Produce(c, 1),
@@ -735,7 +738,7 @@ func buildGated(alwaysCalls, neverCalls *int) (*san.Model, san.PlaceID) {
 		Name: "poison",
 		Enabled: func(mk *san.Marking) bool {
 			*neverCalls++
-			return false
+			return mk.Tokens(mode) == 0
 		},
 		Rate:  san.ConstRate(1e9),
 		Input: san.Produce(c, 1000),
@@ -743,58 +746,10 @@ func buildGated(alwaysCalls, neverCalls *int) (*san.Model, san.PlaceID) {
 	return b.MustBuild(), c
 }
 
-func TestConstantGatesBitIdenticalTrajectories(t *testing.T) {
-	// Skipping certified-constant gates must not perturb the trajectory:
-	// same stream, same probes, bit-identical values.
-	var a1, n1, a2, n2 int
-	m1, c1 := buildGated(&a1, &n1)
-	m2, c2 := buildGated(&a2, &n2)
-	plain, err := NewRunner(m1, Options{MaxTime: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated, err := NewRunner(m2, Options{
-		MaxTime:       5,
-		ConstantGates: map[string]bool{"arrive": true, "poison": false},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probeFor := func(c san.PlaceID) *Probe {
-		return &Probe{
-			Times: []float64{1, 2.5, 5},
-			Value: func(mk *san.Marking) float64 { return float64(mk.Tokens(c)) },
-		}
-	}
-	src := rng.NewSource(77)
-	for i := 0; i < 50; i++ {
-		p1, p2 := probeFor(c1), probeFor(c2)
-		r1, err := plain.Run(src.Stream(uint64(i)), p1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := gated.Run(src.Stream(uint64(i)), p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.Steps != r2.Steps || r1.End != r2.End {
-			t.Fatalf("run %d diverged: %+v vs %+v", i, r1, r2)
-		}
-		for j := range p1.Values {
-			if p1.Values[j] != p2.Values[j] {
-				t.Fatalf("run %d probe %d: %v vs %v", i, j, p1.Values[j], p2.Values[j])
-			}
-		}
-	}
-}
-
-func TestConstantGatesSkipPredicateCalls(t *testing.T) {
+func TestUnchangedGatesEvaluatedOnlyInFirstRun(t *testing.T) {
 	var always, never int
-	m, _ := buildGated(&always, &never)
-	r, err := NewRunner(m, Options{
-		MaxTime:       2,
-		ConstantGates: map[string]bool{"arrive": true, "poison": false},
-	})
+	m, c := buildGated(&always, &never)
+	r, err := NewRunner(m, Options{MaxTime: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -804,18 +759,87 @@ func TestConstantGatesSkipPredicateCalls(t *testing.T) {
 	if _, err := r.Run(rng.NewStream(9)); err != nil {
 		t.Fatal(err)
 	}
+	if always != 1 || never != 1 {
+		t.Fatalf("first run evaluated arrive %d and poison %d times, want once each", always, never)
+	}
+	always, never = 0, 0
+	for i := uint64(0); i < 20; i++ {
+		res, err := r.Run(rng.NewStream(10 + i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.Marking().Tokens(c); uint64(n) != res.Steps {
+			t.Fatalf("run %d: count %d after %d arrivals", i, n, res.Steps)
+		}
+	}
 	if always != 0 || never != 0 {
-		t.Fatalf("constant gates still evaluated: arrive=%d poison=%d", always, never)
+		t.Fatalf("gates on an unwritten place re-evaluated: arrive=%d poison=%d", always, never)
 	}
 }
 
-func TestConstantGatesUnknownActivityRejected(t *testing.T) {
-	m, _ := buildPoisson(1)
-	_, err := NewRunner(m, Options{
-		MaxTime:       1,
-		ConstantGates: map[string]bool{"no-such-activity": true},
-	})
-	if err == nil {
-		t.Fatal("unknown ConstantGates name must be rejected")
+// componentLog is an Observer recording, at every completion, the completed
+// activity's component and how many predicate calls preceded it.
+type componentLog struct {
+	component map[string]int
+	calls     *[]int
+	fired     []int
+	before    []int
+}
+
+func (l *componentLog) OnEvent(_ float64, activity string, _ *san.Marking) {
+	l.fired = append(l.fired, l.component[activity])
+	l.before = append(l.before, len(*l.calls))
+}
+
+func TestCompletionReevaluatesOnlyItsComponent(t *testing.T) {
+	// K independent fail/repair components: a completion changes only its
+	// own component's place, so only that component's two activities may
+	// be re-evaluated before the next draw.
+	const K = 8
+	var calls []int // component of every predicate call, in call order
+	log := &componentLog{component: map[string]int{}, calls: &calls}
+	b := san.NewBuilder("components")
+	for k := 0; k < K; k++ {
+		k := k
+		up := b.Place(fmt.Sprintf("up%d", k), 1)
+		gate := func(want int) san.Predicate {
+			return func(mk *san.Marking) bool {
+				calls = append(calls, k)
+				return mk.Tokens(up) == want
+			}
+		}
+		for _, a := range []san.TimedActivity{
+			{Name: fmt.Sprintf("fail%d", k), Enabled: gate(1), Rate: san.ConstRate(1), Input: san.Consume(up, 1)},
+			{Name: fmt.Sprintf("repair%d", k), Enabled: gate(0), Rate: san.ConstRate(2), Input: san.Produce(up, 1)},
+		} {
+			log.component[a.Name] = k
+			b.Timed(a)
+		}
+	}
+	m := b.MustBuild()
+	r, err := NewRunner(m, Options{MaxTime: 20, Observer: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls = nil
+	res, err := r.Run(rng.NewStream(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps < 50 {
+		t.Fatalf("only %d completions; the check needs a long trajectory", res.Steps)
+	}
+	if log.before[0] != 2*K {
+		t.Fatalf("first evaluation made %d predicate calls, want %d", log.before[0], 2*K)
+	}
+	for j, start := range log.before {
+		end := len(calls)
+		if j+1 < len(log.before) {
+			end = log.before[j+1]
+		}
+		got := calls[start:end]
+		if len(got) != 2 || got[0] != log.fired[j] || got[1] != log.fired[j] {
+			t.Fatalf("after completion %d (component %d) re-evaluated components %v", j, log.fired[j], got)
+		}
 	}
 }

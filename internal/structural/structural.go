@@ -163,8 +163,8 @@ type ReplicaFacts struct {
 }
 
 // GateFact records an enabling predicate whose read set is disjoint from
-// every effect's write set: its value can never change, so executors may
-// skip re-evaluating it (see sim.Options.ConstantGates).
+// every effect's write set: its value can never change (sim.Runner learns
+// the same at run time and never re-evaluates such a predicate).
 type GateFact struct {
 	Activity string `json:"activity"`
 	Kind     string `json:"kind"` // "timed" or "instant"
@@ -235,18 +235,6 @@ func (f *ModelFacts) StateBound() int {
 		return 0
 	}
 	return int(v)
-}
-
-// ConstantTimedGates returns the statically-constant timed gates as the
-// activity-name → value map consumed by sim.Options.ConstantGates.
-func (f *ModelFacts) ConstantTimedGates() map[string]bool {
-	out := make(map[string]bool)
-	for _, g := range f.ConstantGates {
-		if g.Kind == "timed" {
-			out[g.Activity] = g.Enabled
-		}
-	}
-	return out
 }
 
 // Analyze probes the model's bounded marking graph and derives the

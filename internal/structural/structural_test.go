@@ -158,10 +158,6 @@ func TestConstantGateDetection(t *testing.T) {
 	if len(got) != len(want) || got["blocked"] != false {
 		t.Errorf("ConstantGates = %v, want %v", got, want)
 	}
-	cg := f.ConstantTimedGates()
-	if len(cg) != 1 || cg["blocked"] != false {
-		t.Errorf("ConstantTimedGates() = %v, want map[blocked:false]", cg)
-	}
 	// "blocked" never fires: it is also a dead arc.
 	foundDead := false
 	for _, d := range f.DeadArcs {
