@@ -1,6 +1,7 @@
 package ahs_test
 
 import (
+	"strconv"
 	"testing"
 
 	"ahs"
@@ -76,5 +77,37 @@ func TestFacadeSuggestedBiasAndSingleShot(t *testing.T) {
 	}
 	if iv.N != 2000 {
 		t.Fatalf("interval batches %d", iv.N)
+	}
+}
+
+// TestDirectLambda1e7Estimate pins EXPERIMENTS.md's direct λ=1e-7/hr run,
+// `go run ./cmd/ahs-sim -lambda 1e-7 -batches 20000`: the n=10 DD
+// defaults at times 2…10 h, seed 1, 20000 batches and the suggested
+// failure bias print S(10h) = 5.604e-11 with 95% CI [3.509e-11, 7.698e-11]
+// (formatted as ahs-sim prints them).
+func TestDirectLambda1e7Estimate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 20000 ten-hour trajectories")
+	}
+	params := ahs.DefaultParams()
+	params.Lambda = 1e-7
+	sys, err := ahs.New(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve, err := sys.UnsafetyCurve(ahs.EvalOptions{
+		Times:       []float64{2, 4, 6, 8, 10},
+		Seed:        1,
+		MaxBatches:  20000,
+		FailureBias: sys.SuggestedFailureBias(10),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(curve.Times) - 1
+	format := func(v float64) string { return strconv.FormatFloat(v, 'e', 3, 64) }
+	got := [3]string{format(curve.Mean[last]), format(curve.Intervals[last].Lo), format(curve.Intervals[last].Hi)}
+	if want := [3]string{"5.604e-11", "3.509e-11", "7.698e-11"}; got != want {
+		t.Fatalf("S(10h), ci_lo, ci_hi = %v, want %v", got, want)
 	}
 }

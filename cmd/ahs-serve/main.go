@@ -19,8 +19,9 @@
 // covering dedup, sweep expansion, chunk leases, worker execution, fault
 // injections and merge, browsable at GET /debug/traces and exportable as
 // Chrome trace JSON from GET /v1/jobs/{id}/trace?format=chrome (see
-// docs/observability.md). Logs go through log/slog with trace_id/job
-// fields; -log-format json emits one object per line for log shippers.
+// docs/observability.md). Logs go through log/slog; the per-request access
+// line carries trace_id/span_id, and -log-format json emits one object per
+// line for log shippers.
 package main
 
 import (
@@ -43,6 +44,7 @@ import (
 	"ahs/internal/fleet"
 	"ahs/internal/obs"
 	"ahs/internal/resultstore"
+	"ahs/internal/segment"
 	"ahs/internal/service"
 	"ahs/internal/sweep"
 	"ahs/internal/telemetry"
@@ -161,10 +163,10 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			storeCfg.Owner = fleetOwner
 		}
 		store, err = resultstore.Open(storeCfg)
-		if *fleetMode && !*storeFollower && errors.Is(err, resultstore.ErrLocked) {
+		if *fleetMode && !*storeFollower && errors.Is(err, segment.ErrLocked) {
 			// A peer already holds the writer flock: join as a follower and
 			// let failover promote this instance if the writer dies.
-			var held *resultstore.LockHeldError
+			var held *segment.LockHeldError
 			if errors.As(err, &held) {
 				logger.Info("ahs-serve: store writer lock held, joining fleet as follower",
 					slog.String("holder", held.HolderOwner),

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"ahs/internal/telemetry"
 )
 
 // Journal overhead benchmarks: the same 20k-batch evaluation through the
@@ -24,17 +26,20 @@ func benchmarkCoordinatorCurve(b *testing.B, journaled, noSync bool) {
 }
 
 // coordinatorCurve runs one 20k-batch evaluation through a fresh
-// coordinator, journaled or not.
-func coordinatorCurve(tb testing.TB, journaled, noSync bool) {
+// coordinator, journaled or not, and returns the summed duration of its
+// journal appends as ahs_journal_append_seconds recorded it (zero
+// unjournaled).
+func coordinatorCurve(tb testing.TB, journaled, noSync bool) time.Duration {
 	cfg := Config{
 		PollInterval: time.Millisecond, // rescue ticks must not dominate the measurement
 		ChunkBatches: 2000,
 		CheckEvery:   2000,
 	}
+	reg := telemetry.NewRegistry()
 	var j *Journal
 	if journaled {
 		var err error
-		j, err = OpenJournal(JournalConfig{Dir: tb.TempDir(), NoSync: noSync})
+		j, err = OpenJournal(JournalConfig{Dir: tb.TempDir(), NoSync: noSync, Telemetry: reg})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -52,6 +57,12 @@ func coordinatorCurve(tb testing.TB, journaled, noSync bool) {
 	if curve.Batches != 20000 {
 		tb.Fatalf("Batches = %d, want 20000", curve.Batches)
 	}
+	for _, fam := range reg.Gather() {
+		if fam.Name == "ahs_journal_append_seconds" {
+			return time.Duration(fam.Samples[0].Hist.Sum * float64(time.Second))
+		}
+	}
+	return 0
 }
 
 func BenchmarkCoordinatorNoJournal(b *testing.B)     { benchmarkCoordinatorCurve(b, false, false) }
@@ -59,35 +70,42 @@ func BenchmarkCoordinatorJournal(b *testing.B)       { benchmarkCoordinatorCurve
 func BenchmarkCoordinatorJournalNoSync(b *testing.B) { benchmarkCoordinatorCurve(b, true, true) }
 
 // TestJournalOverheadBudget enforces the acceptance bar in the suite
-// itself: journal overhead on a 20k-batch run within 5% (with slack for
-// timer noise on loaded CI machines — the benchmark above is the precise
-// instrument). The two configurations run alternately, several times
-// each, and their medians are compared: on a shared machine the load
-// drifts over seconds, and a single back-to-back pair measures that drift
-// as often as it measures the journal.
+// itself: on a 20k-batch run the journal may cost at most 15% of the
+// run's wall time (5% is the target on a quiet machine). It judges the
+// journal by what it adds — the summed duration of its appends, fsync
+// and compaction included, over the journaled run's wall time — rather
+// than by the wall-clock difference between journaled and unjournaled
+// runs: on a shared machine the same run varies by more than the budget
+// from one run to the next, so that difference measures the host as
+// often as the journal. Appends that overlap simulation count in full,
+// so the share bounds the journal's cost from above. The median share of
+// several runs is asserted; the unjournaled runs still alternate with
+// the journaled ones, and the wall-clock medians are logged for context.
 func TestJournalOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fourteen 20k-batch evaluations")
 	}
 	const pairs = 7
-	run := func(journaled bool) float64 {
-		start := time.Now()
-		coordinatorCurve(t, journaled, false)
-		return float64(time.Since(start))
-	}
-	var bases, journaled []float64
+	var bases, journaled, shares []float64
 	for i := 0; i < pairs; i++ {
-		bases = append(bases, run(false))
-		journaled = append(journaled, run(true))
+		start := time.Now()
+		coordinatorCurve(t, false, false)
+		bases = append(bases, float64(time.Since(start)))
+		start = time.Now()
+		inAppends := coordinatorCurve(t, true, false)
+		wall := time.Since(start)
+		journaled = append(journaled, float64(wall))
+		shares = append(shares, float64(inAppends)/float64(wall))
+		t.Logf("journaled run %d: %.1fms in appends of %.0fms wall (%.2f%%)",
+			i+1, float64(inAppends)/1e6, float64(wall)/1e6, shares[i]*100)
 	}
 	base, withJournal := median(bases), median(journaled)
-	overhead := (withJournal - base) / base
-	t.Logf("journal overhead: base=%.0fms journaled=%.0fms overhead=%.2f%% (medians of %d alternating runs each)",
-		base/1e6, withJournal/1e6, overhead*100, pairs)
-	// 5% is the acceptance target on a quiet machine; 15% is the hard
-	// failure line so CI noise does not flake the suite.
-	if overhead > 0.15 {
-		t.Errorf("journal overhead %.1f%% exceeds the 15%% hard ceiling (target <=5%%)", overhead*100)
+	t.Logf("wall-clock medians of %d alternating runs each (not asserted): base=%.0fms journaled=%.0fms (%+.2f%%)",
+		pairs, base/1e6, withJournal/1e6, (withJournal-base)/base*100)
+	share := median(shares)
+	t.Logf("journal append share: median %.2f%% of wall time", share*100)
+	if share > 0.15 {
+		t.Errorf("journal appends take %.1f%% of a journaled run's wall time, over the 15%% hard ceiling (target <=5%%)", share*100)
 	}
 }
 

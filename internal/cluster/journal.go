@@ -31,6 +31,7 @@ import (
 //
 //	snapshot.wal   compacted prefix: the records of every live job
 //	journal.wal    append-only tail since the last compaction
+//	journal.lock   the open journal's writer flock (internal/segment)
 //
 // Both files are internal/segment logs whose payloads are JSON
 // journalRecords. A torn write (partial frame at the tail) or a corrupted
@@ -45,6 +46,7 @@ import (
 const (
 	journalSnapshotName = "snapshot.wal"
 	journalTailName     = "journal.wal"
+	journalLockName     = "journal.lock"
 )
 
 // Journal record types.
@@ -92,8 +94,9 @@ type journalJob struct {
 
 // JournalConfig configures OpenJournal. Only Dir is required.
 type JournalConfig struct {
-	// Dir is the journal directory, created if missing. One coordinator
-	// per directory; sharing corrupts both.
+	// Dir is the journal directory, created if missing. One open journal
+	// per directory: OpenJournal fails with a *segment.LockHeldError
+	// naming the holder while another journal has it open.
 	Dir string
 	// CompactEvery is the number of appended records between compactions
 	// (default 1024). Compaction cost is proportional to live-job state,
@@ -114,6 +117,7 @@ type JournalConfig struct {
 type Journal struct {
 	cfg     JournalConfig
 	metrics *journalMetrics
+	lock    *os.File // the directory's writer flock, held until Close
 
 	mu       sync.Mutex
 	tail     *segment.Log
@@ -161,10 +165,11 @@ func (j *Journal) Stats() JournalStats {
 	return st
 }
 
-// OpenJournal opens (or creates) the journal directory, replays any
-// existing snapshot and tail — cutting torn or corrupt frames at the last
-// valid record — and positions the tail file for appending.
-func OpenJournal(cfg JournalConfig) (*Journal, error) {
+// OpenJournal opens (or creates) the journal directory, takes its writer
+// lock, replays any existing snapshot and tail — cutting torn or corrupt
+// frames at the last valid record — and positions the tail file for
+// appending.
+func OpenJournal(cfg JournalConfig) (_ *Journal, err error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("cluster: journal needs a directory")
 	}
@@ -177,8 +182,19 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: journal dir: %w", err)
 	}
+	host, _ := os.Hostname()
+	lock, err := segment.AcquireLock(filepath.Join(cfg.Dir, journalLockName), filepath.Base(os.Args[0])+"@"+host)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: journal: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			segment.ReleaseLock(lock)
+		}
+	}()
 	j := &Journal{
 		cfg:  cfg,
+		lock: lock,
 		jobs: make(map[uint64]*journalJob),
 	}
 	j.metrics = newJournalMetrics(cfg.Telemetry, j)
@@ -284,8 +300,10 @@ func (j *Journal) fold(rec journalRecord) {
 
 // append writes and (unless NoSync) fsyncs one record, folds it into the
 // in-memory state, and compacts when the tail has grown past CompactEvery
-// records. The record is durable when append returns.
+// records. The record is durable when append returns. Its whole duration,
+// lock wait and compaction included, lands in ahs_journal_append_seconds.
 func (j *Journal) append(rec journalRecord) error {
+	defer j.metrics.timeAppend(time.Now())
 	payload, err := encodeRecord(rec)
 	if err != nil {
 		return err
@@ -440,6 +458,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
+	defer segment.ReleaseLock(j.lock)
 	if err := j.tail.Sync(); err != nil {
 		j.tail.Close()
 		return err
@@ -450,6 +469,7 @@ func (j *Journal) Close() error {
 // journalMetrics holds the ahs_journal_* families; nil (no registry)
 // disables recording.
 type journalMetrics struct {
+	appendSecs  *telemetry.Histogram
 	records     *telemetry.Counter
 	bytes       *telemetry.Counter
 	fsyncs      *telemetry.Counter
@@ -463,6 +483,11 @@ func newJournalMetrics(reg *telemetry.Registry, j *Journal) *journalMetrics {
 		return nil
 	}
 	m := &journalMetrics{
+		appendSecs: reg.Histogram(telemetry.Opts{
+			Name:    "ahs_journal_append_seconds",
+			Help:    "Time spent appending one record to the job journal, fsync and any compaction included.",
+			Buckets: telemetry.ExponentialBuckets(0.0001, 4, 8),
+		}),
 		records: reg.Counter(telemetry.Opts{
 			Name: "ahs_journal_records_total",
 			Help: "Records appended to the job journal.",
@@ -497,6 +522,12 @@ func newJournalMetrics(reg *telemetry.Registry, j *Journal) *journalMetrics {
 		return float64(len(j.jobs))
 	})
 	return m
+}
+
+func (m *journalMetrics) timeAppend(start time.Time) {
+	if m != nil {
+		m.appendSecs.Observe(time.Since(start).Seconds())
+	}
 }
 
 func (m *journalMetrics) appended(frameBytes int) {

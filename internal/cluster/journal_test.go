@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -548,4 +550,43 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// TestJournalWriterLock: one open journal per directory. A second open
+// fails with an error naming the holder's owner and PID, and succeeds once
+// the first journal closes. flock conflicts between two descriptors even
+// in one process, so this runs without fork.
+func TestJournalWriterLock(t *testing.T) {
+	dir := t.TempDir()
+	first, err := OpenJournal(JournalConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenJournal(JournalConfig{Dir: dir})
+	if !errors.Is(err, segment.ErrLocked) {
+		first.Close()
+		t.Fatalf("second open = %v, want segment.ErrLocked", err)
+	}
+	var held *segment.LockHeldError
+	if !errors.As(err, &held) {
+		t.Fatalf("second open error %T is not *segment.LockHeldError", err)
+	}
+	host, _ := os.Hostname()
+	owner := filepath.Base(os.Args[0]) + "@" + host
+	if held.HolderPID != os.Getpid() || held.HolderOwner != owner {
+		t.Errorf("holder = pid %d owner %q, want pid %d owner %q", held.HolderPID, held.HolderOwner, os.Getpid(), owner)
+	}
+	for _, want := range []string{strconv.Itoa(os.Getpid()), owner} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second, err := OpenJournal(JournalConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("open after the holder closed: %v", err)
+	}
+	second.Close()
 }

@@ -338,8 +338,9 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	// Propagate the active chunk span so the coordinator's merge span
-	// joins the same trace. Set directly (not via obs.Transport) so
-	// user-provided clients and test fault injectors see the header too.
+	// joins the same trace. Set on the request itself, not by a
+	// RoundTripper, so user-provided clients and test fault injectors see
+	// the header too.
 	if sc, ok := obs.ContextSpanContext(ctx); ok && sc.Sampled {
 		req.Header.Set(obs.TraceParentHeader, sc.TraceParent())
 	}

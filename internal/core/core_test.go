@@ -137,10 +137,10 @@ func TestInitialMarking(t *testing.T) {
 		t.Fatal("initial outcome counters must be zero")
 	}
 	view := a.View(mk)
-	if l, _ := view.Leader(0); l != 0 {
+	if l := view.Platoons[0][0]; l != 0 {
 		t.Fatalf("platoon 1 leader %d, want vehicle 0", l)
 	}
-	if l, _ := view.Leader(1); l != 10 {
+	if l := view.Platoons[1][0]; l != 10 {
 		t.Fatalf("platoon 2 leader %d, want vehicle 10", l)
 	}
 	if err := a.CheckInvariants(mk); err != nil {

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"ahs/internal/resultstore"
+	"ahs/internal/segment"
 	"ahs/internal/telemetry"
 )
 
@@ -445,7 +446,7 @@ func (n *Node) maybePromote() {
 	if err := n.promote(); err != nil {
 		// Lost the race (a peer promoted first) or the writer is back:
 		// drop back to following; the next tick re-reads the new world.
-		if !errors.Is(err, resultstore.ErrLocked) {
+		if !errors.Is(err, segment.ErrLocked) {
 			n.cfg.Logf("fleet: promotion failed: %v", err)
 		}
 		n.setRole(RoleFollower)
@@ -464,16 +465,19 @@ func (n *Node) promote() error {
 	if err != nil {
 		return err
 	}
+	// The metrics change under the same hold that publishes the role, so
+	// whoever reads "writer" from Health also scrapes the new epoch and
+	// the promotion.
 	n.mu.Lock()
 	n.role = RoleWriter
 	n.epoch = epoch
+	n.metrics.promotions.Inc()
+	n.metrics.observeRole(RoleWriter)
+	n.metrics.observeEpoch(epoch)
 	n.mu.Unlock()
 	if err := n.writeHeartbeat(); err != nil {
 		return err
 	}
-	n.metrics.promotions.Inc()
-	n.metrics.observeRole(RoleWriter)
-	n.metrics.observeEpoch(epoch)
 	n.cfg.Logf("fleet: %s promoted to writer under epoch %d", n.cfg.Owner, epoch)
 	n.adopt()
 	return nil

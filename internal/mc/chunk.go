@@ -326,9 +326,6 @@ func (m *Merger) Done() uint64 { return m.next }
 // Target returns the job's batch budget.
 func (m *Merger) Target() uint64 { return m.target }
 
-// Converged reports whether the stop rule was met at a folded boundary.
-func (m *Merger) Converged() bool { return m.converged }
-
 // Complete reports whether the merge can produce the final curve: either
 // the whole budget folded, or the stop rule ended the job early.
 func (m *Merger) Complete() bool { return m.converged || m.next == m.target }

@@ -165,7 +165,7 @@ func TestChunkMergeReproducesStopRuleDecision(t *testing.T) {
 		if err := merger.Add(state); err != nil {
 			t.Fatal(err)
 		}
-		if merger.Converged() {
+		if merger.Complete() {
 			break
 		}
 	}

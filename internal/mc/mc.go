@@ -114,9 +114,6 @@ type Curve struct {
 	Converged bool
 }
 
-// At returns the estimate at the i-th grid point.
-func (c *Curve) At(i int) float64 { return c.Mean[i] }
-
 // Final returns the estimate at the last grid point.
 func (c *Curve) Final() float64 { return c.Mean[len(c.Mean)-1] }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 
 	"ahs/internal/trace"
@@ -58,19 +57,6 @@ func WriteChromeTrace(w io.Writer, td TraceData) error {
 		name = td.Root + " " + td.TraceID
 	}
 	return trace.WriteChromeSpans(w, name, spans)
-}
-
-// WriteSpanLog exports the trace as a JSON span log: one SpanData object
-// per line, in recorded (start-time) order — the grep-friendly counterpart
-// of the Perfetto view.
-func WriteSpanLog(w io.Writer, td TraceData) error {
-	enc := json.NewEncoder(w)
-	for _, sd := range td.Spans {
-		if err := enc.Encode(sd); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // itoa is strconv.Itoa for the tiny non-negative ints used in event keys,

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -60,27 +59,6 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	// An empty trace still emits the process metadata event and validates.
 	if err := trace.ValidateChromeTrace(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("empty export does not validate: %v", err)
-	}
-}
-
-func TestWriteSpanLog(t *testing.T) {
-	_, td := buildTrace(t)
-	var buf bytes.Buffer
-	if err := WriteSpanLog(&buf, td); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("span log has %d lines, want 3", len(lines))
-	}
-	for _, line := range lines {
-		var sd SpanData
-		if err := json.Unmarshal([]byte(line), &sd); err != nil {
-			t.Fatalf("span log line %q: %v", line, err)
-		}
-		if sd.TraceID != td.TraceID {
-			t.Fatalf("span log line carries trace %q, want %q", sd.TraceID, td.TraceID)
-		}
 	}
 }
 

@@ -69,29 +69,6 @@ func (w *statusWriter) WriteHeader(code int) {
 // without it, streaming handlers (SSE) cannot flush on traced routes.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// Transport returns a RoundTripper that stamps outgoing requests with the
-// traceparent of the active span (or remote link) in the request context.
-// A nil next uses http.DefaultTransport.
-func Transport(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return transport{next: next}
-}
-
-type transport struct{ next http.RoundTripper }
-
-func (t transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if sc, ok := ContextSpanContext(req.Context()); ok && sc.Sampled {
-		// Per RoundTripper contract the request must not be mutated;
-		// shallow-clone with a copied header map.
-		clone := req.Clone(req.Context())
-		clone.Header.Set(TraceParentHeader, sc.TraceParent())
-		req = clone
-	}
-	return t.next.RoundTrip(req)
-}
-
 // DebugHandler serves the recorder over HTTP:
 //
 //	GET <prefix>          — JSON list of recorded traces, newest first

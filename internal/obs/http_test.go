@@ -11,14 +11,31 @@ import (
 	"ahs/internal/trace"
 )
 
+// traceIDOf returns the hex trace ID of the span or remote link in ctx,
+// or "".
+func traceIDOf(ctx context.Context) string {
+	if sc, ok := ContextSpanContext(ctx); ok {
+		return sc.TraceID.String()
+	}
+	return ""
+}
+
+// stampTraceParent sets the traceparent header from the request's
+// context the way the cluster worker does: only for a sampled span.
+func stampTraceParent(req *http.Request) {
+	if sc, ok := ContextSpanContext(req.Context()); ok && sc.Sampled {
+		req.Header.Set(TraceParentHeader, sc.TraceParent())
+	}
+}
+
 func TestMiddlewareAndTransportPropagate(t *testing.T) {
 	// Two "processes", each with its own tracer, joined by the traceparent
-	// header: client starts a span, Transport stamps the request, server
-	// Middleware adopts the remote context.
+	// header: client starts a span and stamps the request with it as the
+	// cluster worker does, server Middleware adopts the remote context.
 	serverTr := NewTracer(Config{})
 	var serverTrace string
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serverTrace = TraceIDFromContext(r.Context())
+		serverTrace = traceIDOf(r.Context())
 		AddEvent(r.Context(), "handled")
 		w.WriteHeader(http.StatusAccepted)
 	})
@@ -27,9 +44,9 @@ func TestMiddlewareAndTransportPropagate(t *testing.T) {
 
 	clientTr := NewTracer(Config{})
 	ctx, span := clientTr.Start(context.Background(), "chunk")
-	client := &http.Client{Transport: Transport(nil)}
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL, nil)
-	resp, err := client.Do(req)
+	stampTraceParent(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +124,7 @@ func TestMiddlewareAccessLog(t *testing.T) {
 
 func TestMiddlewareNilTracerPassThrough(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if TraceIDFromContext(r.Context()) != "" {
+		if traceIDOf(r.Context()) != "" {
 			t.Error("nil-tracer middleware injected a trace")
 		}
 	})
@@ -121,19 +138,29 @@ func TestMiddlewareNilTracerPassThrough(t *testing.T) {
 }
 
 func TestTransportSkipsUntracedRequests(t *testing.T) {
-	var gotHeader string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	// A request sent without a span carries no traceparent, so the
+	// server's Middleware starts a trace of its own.
+	serverTr := NewTracer(Config{})
+	var gotHeader, serverTrace string
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotHeader = r.Header.Get(TraceParentHeader)
-	}))
+		serverTrace = traceIDOf(r.Context())
+	})
+	srv := httptest.NewServer(Middleware(serverTr, "GET /x", inner))
 	defer srv.Close()
-	client := &http.Client{Transport: Transport(nil)}
-	resp, err := client.Get(srv.URL)
+	req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
+	stampTraceParent(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if gotHeader != "" {
 		t.Fatalf("untraced request carried traceparent %q", gotHeader)
+	}
+	td, ok := serverTr.Trace(serverTrace)
+	if !ok || len(td.Spans) != 1 || td.Spans[0].Parent != "" {
+		t.Fatalf("server trace = %+v ok=%v, want one root span", td, ok)
 	}
 }
 

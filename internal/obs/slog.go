@@ -7,33 +7,14 @@ import (
 	"log/slog"
 )
 
-// ctxKeyLogAttrs carries extra slog attributes (job, chunk, worker IDs)
-// attached to a context with WithLogAttrs.
-type ctxKeyLogAttrs struct{}
-
-// WithLogAttrs returns a context whose log lines (through LogHandler) carry
-// the given attributes in addition to any from the parent context.
-func WithLogAttrs(ctx context.Context, attrs ...slog.Attr) context.Context {
-	if len(attrs) == 0 {
-		return ctx
-	}
-	prev, _ := ctx.Value(ctxKeyLogAttrs{}).([]slog.Attr)
-	merged := make([]slog.Attr, 0, len(prev)+len(attrs))
-	merged = append(merged, prev...)
-	merged = append(merged, attrs...)
-	return context.WithValue(ctx, ctxKeyLogAttrs{}, merged)
-}
-
 // LogHandler wraps a slog.Handler so every record logged with a context
-// carries trace_id and span_id from the active span (or remote link) plus
-// any WithLogAttrs attributes. Lines logged without trace context pass
-// through untouched.
+// carries trace_id and span_id from the active span (or remote link).
+// Lines logged without trace context pass through untouched.
 type LogHandler struct {
 	inner slog.Handler
 }
 
-// NewLogHandler wraps inner with context-aware trace/job attribute
-// injection.
+// NewLogHandler wraps inner with context-aware trace attribute injection.
 func NewLogHandler(inner slog.Handler) *LogHandler {
 	return &LogHandler{inner: inner}
 }
@@ -49,9 +30,6 @@ func (h *LogHandler) Handle(ctx context.Context, rec slog.Record) error {
 				slog.String("trace_id", sc.TraceID.String()),
 				slog.String("span_id", sc.SpanID.String()),
 			)
-		}
-		if attrs, ok := ctx.Value(ctxKeyLogAttrs{}).([]slog.Attr); ok {
-			rec.AddAttrs(attrs...)
 		}
 	}
 	return h.inner.Handle(ctx, rec)
@@ -82,7 +60,7 @@ func NewLogger(w io.Writer, format string) (*slog.Logger, error) {
 }
 
 // Logf adapts a context-bound slog.Logger to the Logf func(format, args...)
-// hooks used across the cluster package, preserving trace and job fields
+// hooks used across the cluster package, preserving the trace fields
 // captured in ctx at adaptation time.
 func Logf(ctx context.Context, logger *slog.Logger) func(format string, args ...any) {
 	return func(format string, args ...any) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"log/slog"
 	"strings"
 	"testing"
 )
@@ -17,8 +16,6 @@ func TestLogHandlerInjectsTraceFields(t *testing.T) {
 	}
 	tr := NewTracer(Config{})
 	ctx, span := tr.Start(context.Background(), "submit")
-	ctx = WithLogAttrs(ctx, slog.String("job", "j-1"))
-	ctx = WithLogAttrs(ctx, slog.String("chunk", "3"))
 
 	logger.InfoContext(ctx, "leased chunk", "worker", "w-1")
 	span.End()
@@ -34,7 +31,7 @@ func TestLogHandlerInjectsTraceFields(t *testing.T) {
 	if rec["span_id"] != sc.SpanID.String() {
 		t.Fatalf("span_id = %v, want %s", rec["span_id"], sc.SpanID)
 	}
-	if rec["job"] != "j-1" || rec["chunk"] != "3" || rec["worker"] != "w-1" {
+	if rec["worker"] != "w-1" {
 		t.Fatalf("log attrs = %v", rec)
 	}
 	if rec["msg"] != "leased chunk" {

@@ -47,14 +47,6 @@ func (s *Span) Context() SpanContext {
 	return s.sc
 }
 
-// Name returns the span's name ("" for nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // SetAttr attaches (or appends) an attribute.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {
@@ -203,12 +195,4 @@ func ContextSpanContext(ctx context.Context) (SpanContext, bool) {
 		return l.sc, true
 	}
 	return SpanContext{}, false
-}
-
-// TraceIDFromContext returns the hex trace ID in ctx, or "".
-func TraceIDFromContext(ctx context.Context) string {
-	if sc, ok := ContextSpanContext(ctx); ok {
-		return sc.TraceID.String()
-	}
-	return ""
 }

@@ -17,13 +17,12 @@ type FailureMode int
 
 // Failure modes FM1..FM6, ordered as in Table 1 (decreasing severity).
 const (
-	FM1             FailureMode = iota + 1 // no brakes                          -> A3, Aided Stop
-	FM2                                    // cannot detect adjacent vehicles    -> A2, Crash Stop
-	FM3                                    // inter-vehicle communication failure-> A1, Gentle Stop
-	FM4                                    // transmission failure               -> B2, TIE-Escorted
-	FM5                                    // reduced steering capability        -> B1, TIE
-	FM6                                    // single failure in redundant sensors-> C,  TIE-Normal
-	numFailureModes = 6
+	FM1 FailureMode = iota + 1 // no brakes                          -> A3, Aided Stop
+	FM2                        // cannot detect adjacent vehicles    -> A2, Crash Stop
+	FM3                        // inter-vehicle communication failure-> A1, Gentle Stop
+	FM4                        // transmission failure               -> B2, TIE-Escorted
+	FM5                        // reduced steering capability        -> B1, TIE
+	FM6                        // single failure in redundant sensors-> C,  TIE-Normal
 )
 
 // AllFailureModes lists FM1..FM6 in Table 1 order.
@@ -243,19 +242,6 @@ func (f FailureMode) Escalate() (FailureMode, bool) {
 	return f - 1, true
 }
 
-// ModeForManeuverLevel returns the least-degraded failure mode whose
-// maneuver priority level is at least level, walking the escalation chain.
-func ModeForManeuverLevel(f FailureMode, level int) FailureMode {
-	for f.Maneuver().PriorityLevel() < level {
-		next, ok := f.Escalate()
-		if !ok {
-			return f
-		}
-		f = next
-	}
-	return f
-}
-
 // ManeuverForMode implements the refusal rule of §2.1.2 on the maneuver
 // alone: a vehicle with failure mode f whose natural maneuver is refused
 // because a maneuver of priority floorLevel is already executing asks for
@@ -434,18 +420,6 @@ func (v View) Locate(id int) (platoonIdx, pos int, ok bool) {
 	return 0, 0, false
 }
 
-// Leader returns the id in the leader position of platoon pi, or ok=false
-// for an empty platoon. The leader is the front vehicle whether or not it
-// is degraded; a degraded leader hampers coordination (its participation
-// makes maneuvers more likely to fail) until it exits, and the next vehicle
-// takes the position, which models the paper's leader re-election maneuvers.
-func (v View) Leader(pi int) (int, bool) {
-	if len(v.Platoons[pi]) == 0 {
-		return 0, false
-	}
-	return v.Platoons[pi][0], true
-}
-
 // Participants returns the set of vehicles (other than the faulty vehicle
 // itself) that must cooperate for the given maneuver under the given
 // strategy, per §2.2.
@@ -567,22 +541,4 @@ func Participants(v View, vehicle int, m Maneuver, s Strategy) ([]int, error) {
 		out = append(out, id)
 	}
 	return out, nil
-}
-
-// DegradedParticipants returns how many of the maneuver's participants are
-// currently not operational. Maneuver success probability decreases in this
-// count (see internal/core), which is what couples nearby failures and makes
-// larger coordination sets — i.e. centralized strategies — less safe.
-func DegradedParticipants(v View, vehicle int, m Maneuver, s Strategy) (int, error) {
-	parts, err := Participants(v, vehicle, m, s)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, id := range parts {
-		if !v.Operational(id) {
-			n++
-		}
-	}
-	return n, nil
 }

@@ -96,26 +96,6 @@ func TestEscalationStrictlyIncreasesPriority(t *testing.T) {
 	}
 }
 
-func TestModeForManeuverLevel(t *testing.T) {
-	// FM6 refused until class-A level 4 must escalate to FM2 (CS).
-	got := ModeForManeuverLevel(FM6, CS.PriorityLevel())
-	if got != FM2 {
-		t.Fatalf("ModeForManeuverLevel(FM6, CS) = %v, want FM2", got)
-	}
-	// Already sufficient: unchanged.
-	if got := ModeForManeuverLevel(FM1, 1); got != FM1 {
-		t.Fatalf("FM1 at level 1 = %v", got)
-	}
-	// Level above AS: saturates at FM1.
-	if got := ModeForManeuverLevel(FM6, 99); got != FM1 {
-		t.Fatalf("saturation = %v, want FM1", got)
-	}
-	// TIE (B1, FM5) refused at level 2 stays: equal priority is accepted.
-	if got := ModeForManeuverLevel(FM5, 2); got != FM5 {
-		t.Fatalf("equal level must be accepted, got %v", got)
-	}
-}
-
 func TestManeuverForMode(t *testing.T) {
 	cases := []struct {
 		fm    FailureMode
@@ -267,12 +247,9 @@ func TestLocateAndLeader(t *testing.T) {
 	if _, _, ok := v.Locate(99); ok {
 		t.Fatal("Locate of absent vehicle must fail")
 	}
-	if l, ok := v.Leader(0); !ok || l != 10 {
-		t.Fatalf("Leader(0) = %d,%v", l, ok)
-	}
-	empty := testView(nil, []int{20})
-	if _, ok := empty.Leader(0); ok {
-		t.Fatal("Leader of empty platoon must fail")
+	// The leader is the front vehicle: position 0 of its platoon.
+	if pi, pos, ok := v.Locate(10); !ok || pi != 0 || pos != 0 {
+		t.Fatalf("Locate(10) = %d,%d,%v, want the leader slot 0,0", pi, pos, ok)
 	}
 }
 
@@ -476,24 +453,6 @@ func TestParticipantsErrors(t *testing.T) {
 	}
 	if _, err := Participants(v, 10, Maneuver(0), DD); err == nil {
 		t.Fatal("expected error for invalid maneuver")
-	}
-}
-
-func TestDegradedParticipants(t *testing.T) {
-	v := testView([]int{10, 11, 12, 13}, []int{20}, 11, 13)
-	n, err := DegradedParticipants(v, 12, TIE, DD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("degraded participants %d, want 2 (11 and 13)", n)
-	}
-	n, err = DegradedParticipants(v, 12, CS, DD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("degraded participants %d, want 1 (13)", n)
 	}
 }
 

@@ -171,11 +171,11 @@ func (c *Claims) withLock(fn func() error) error {
 		return ErrClosed
 	}
 	lockPath := filepath.Join(c.cfg.Dir, claimsLockName)
-	lock, err := acquireLockBlocking(lockPath)
+	lock, err := segment.AcquireLockBlocking(lockPath)
 	if err != nil {
 		return err
 	}
-	defer releaseLock(lock)
+	defer segment.ReleaseLock(lock)
 	if err := c.reconcileLocked(); err != nil {
 		return err
 	}

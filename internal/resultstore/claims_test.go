@@ -122,7 +122,10 @@ func TestClaimStealAfterExpiry(t *testing.T) {
 	b := openClaims(t, dir, "node-b", ClaimsConfig{URL: "http://b"})
 
 	sc := json.RawMessage(`{"name":"doomed"}`)
-	if _, _, err := a.Acquire("hash-x", 1, 10*time.Millisecond, sc); err != nil {
+	// The TTL must outlast the gap to the pre-expiry Acquire below even on
+	// a loaded machine.
+	const ttl = 250 * time.Millisecond
+	if _, _, err := a.Acquire("hash-x", 1, ttl, sc); err != nil {
 		t.Fatal(err)
 	}
 	a.Abandon() // kill -9: no release
@@ -131,7 +134,7 @@ func TestClaimStealAfterExpiry(t *testing.T) {
 	if _, _, err := b.Acquire("hash-x", 2, testTTL, nil); !errors.Is(err, ErrClaimHeld) {
 		t.Fatalf("pre-expiry Acquire err = %v, want ErrClaimHeld", err)
 	}
-	time.Sleep(15 * time.Millisecond)
+	time.Sleep(ttl + 50*time.Millisecond)
 	st, stole, err := b.Acquire("hash-x", 2, testTTL, nil)
 	if err != nil {
 		t.Fatalf("post-expiry Acquire: %v", err)
@@ -432,12 +435,12 @@ func TestLockContention(t *testing.T) {
 	if err == nil {
 		t.Fatal("second writer Open succeeded; lock not exclusive")
 	}
-	if !errors.Is(err, ErrLocked) {
+	if !errors.Is(err, segment.ErrLocked) {
 		t.Fatalf("loser error %v does not match ErrLocked", err)
 	}
-	var held *LockHeldError
+	var held *segment.LockHeldError
 	if !errors.As(err, &held) {
-		t.Fatalf("loser error %T is not *LockHeldError", err)
+		t.Fatalf("loser error %T is not *segment.LockHeldError", err)
 	}
 	if held.HolderPID != os.Getpid() {
 		t.Errorf("HolderPID = %d, want %d", held.HolderPID, os.Getpid())

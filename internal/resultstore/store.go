@@ -59,9 +59,6 @@ const (
 
 // Sentinel errors.
 var (
-	// ErrLocked means another live process holds the directory's writer
-	// lock. Open the directory with ReadOnly to follow it instead.
-	ErrLocked = errors.New("resultstore: directory is locked by another writer")
 	// ErrReadOnly rejects mutations on a follower store.
 	ErrReadOnly = errors.New("resultstore: store is read-only")
 	// ErrClosed rejects use after Close.
@@ -171,7 +168,7 @@ type Stats struct {
 // Open opens (or creates) the store directory, scans the segment — cutting
 // a torn or corrupt tail at the last valid frame when writing — and builds
 // the in-memory index. A second writer on the same directory fails with
-// ErrLocked.
+// segment.ErrLocked.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("resultstore: Config.Dir is required")
@@ -198,7 +195,7 @@ func Open(cfg Config) (*Store, error) {
 		lastRefresh: time.Now(),
 	}
 	if !cfg.ReadOnly {
-		lock, err := acquireLock(filepath.Join(cfg.Dir, lockName), cfg.Owner)
+		lock, err := segment.AcquireLock(filepath.Join(cfg.Dir, lockName), cfg.Owner)
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +219,7 @@ func (s *Store) release() {
 		s.seg.Close()
 	}
 	if s.lock != nil {
-		releaseLock(s.lock)
+		segment.ReleaseLock(s.lock)
 	}
 }
 
@@ -568,7 +565,7 @@ func (s *Store) Sync() error {
 }
 
 // Promote upgrades a follower into the writer: it takes the directory's
-// writer flock (failing with a LockHeldError while the old writer's lock
+// writer flock (failing with a segment.LockHeldError while the old writer's lock
 // is still held — the kernel releases it the instant that process dies,
 // kill -9 included), reopens the segment read-write, reconciles the index
 // with whatever the dead writer managed to append, and cuts any torn tail
@@ -587,7 +584,7 @@ func (s *Store) Promote() error {
 	if !s.readOnly {
 		return nil
 	}
-	lock, err := acquireLock(filepath.Join(s.cfg.Dir, lockName), s.cfg.Owner)
+	lock, err := segment.AcquireLock(filepath.Join(s.cfg.Dir, lockName), s.cfg.Owner)
 	if err != nil {
 		return err
 	}
@@ -595,7 +592,7 @@ func (s *Store) Promote() error {
 	// may point at a pre-compaction inode, and the dead writer may have
 	// appended past our last scan.
 	if err := s.reindexLocked(true); err != nil {
-		releaseLock(lock)
+		segment.ReleaseLock(lock)
 		return fmt.Errorf("resultstore: promote: open segment: %w", err)
 	}
 	s.lock = lock
@@ -644,7 +641,7 @@ func (s *Store) Close() error {
 		}
 	}
 	if s.lock != nil {
-		releaseLock(s.lock)
+		segment.ReleaseLock(s.lock)
 	}
 	return err
 }

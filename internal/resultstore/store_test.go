@@ -278,7 +278,7 @@ func TestAutoCompaction(t *testing.T) {
 func TestWriterLockExcludesSecondWriter(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{})
-	if _, err := Open(Config{Dir: dir}); !errors.Is(err, ErrLocked) {
+	if _, err := Open(Config{Dir: dir}); !errors.Is(err, segment.ErrLocked) {
 		t.Fatalf("second writer Open = %v, want ErrLocked", err)
 	}
 	follower := openTest(t, dir, Config{ReadOnly: true})

@@ -31,9 +31,6 @@ type FleetCoordinator interface {
 	// the Result) and releases the claim; on a follower this forwards
 	// to the writer. A fencing rejection surfaces as an error.
 	PutResult(hash string, value []byte) error
-	// Role reports this instance's current fleet role: "writer",
-	// "follower" or "promoting".
-	Role() string
 }
 
 // PeerClaimedError reports a submission whose scenario a fleet peer is

@@ -74,8 +74,6 @@ func (f *fakeFleet) PutResult(hash string, value []byte) error {
 	return nil
 }
 
-func (f *fakeFleet) Role() string { return "writer" }
-
 func (f *fakeFleet) released(hash string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -74,36 +73,17 @@ func (s *server) setRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(u)))
 }
 
-// RequestDurationBuckets is the latency layout of
-// ahs_http_request_duration_seconds: sub-millisecond to ~half a minute.
-var RequestDurationBuckets = telemetry.ExponentialBuckets(0.0005, 4, 9)
-
 // NewHandler exposes the manager over the HTTP JSON API served by
 // cmd/ahs-serve; docs/api.md documents the endpoints. Every API route is
-// wrapped in a per-endpoint latency histogram on the manager's registry,
-// which is itself served at GET /metrics in the Prometheus text format.
-// The handler is safe for concurrent use and carries no state beyond the
-// manager.
+// mounted through Router, and the manager's registry is served at GET
+// /metrics in the Prometheus text format. The handler is safe for
+// concurrent use and carries no state beyond the manager.
 func NewHandler(m *Manager) http.Handler {
 	s := &server{m: m, jitter: rng.NewStream(uint64(time.Now().UnixNano()))}
 	reg := m.Registry()
-	latency := reg.HistogramVec(telemetry.Opts{
-		Name:    "ahs_http_request_duration_seconds",
-		Help:    "API request latency by route pattern.",
-		Buckets: RequestDurationBuckets,
-	}, "endpoint")
 	mux := http.NewServeMux()
 	tracer := m.cfg.Tracer
-	handle := func(pattern string, h http.HandlerFunc) {
-		// Eager: the series exists before traffic.
-		hist := latency.With(pattern) //ahsvet:ignore locklabel patterns are the compile-time route literals below
-		traced := obs.Middleware(tracer, pattern, h)
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			traced.ServeHTTP(w, r)
-			hist.Observe(time.Since(start).Seconds())
-		})
-	}
+	handle := Router(mux, reg, tracer)
 	handle("POST /v1/evaluate", s.handleEvaluate)
 	handle("GET /v1/jobs/{id}", s.handleJob)
 	handle("GET /v1/jobs/{id}/stream", s.handleJobStream)
@@ -113,11 +93,33 @@ func NewHandler(m *Manager) http.Handler {
 	handle("DELETE /v1/jobs/{id}", s.handleCancel)
 	handle("GET /v1/results/{id}", s.handleResult)
 	handle("GET /healthz", s.handleHealth)
-	handle("GET /debug/vars", s.handleVars)
 	mux.Handle("GET /metrics", reg.Handler())
 	mux.Handle("GET /debug/traces", obs.DebugHandler(tracer, "/debug/traces"))
 	mux.Handle("GET /debug/traces/{id...}", obs.DebugHandler(tracer, "/debug/traces"))
 	return mux
+}
+
+// Router returns the function the evaluation and sweep APIs mount their
+// routes on mux with. Each route runs under obs.Middleware and is timed
+// into the ahs_http_request_duration_seconds histogram on reg, one series
+// per route pattern, so one scrape covers evaluate and sweep latency alike.
+func Router(mux *http.ServeMux, reg *telemetry.Registry, tracer *obs.Tracer) func(pattern string, h http.HandlerFunc) {
+	latency := reg.HistogramVec(telemetry.Opts{
+		Name: "ahs_http_request_duration_seconds",
+		Help: "API request latency by route pattern.",
+		// Sub-millisecond to ~half a minute.
+		Buckets: telemetry.ExponentialBuckets(0.0005, 4, 9),
+	}, "endpoint")
+	return func(pattern string, h http.HandlerFunc) {
+		// Eager: the series exists before traffic.
+		hist := latency.With(pattern) //ahsvet:ignore locklabel patterns are the compile-time route literals of the API handlers
+		traced := obs.Middleware(tracer, pattern, h)
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			start := time.Now()
+			traced.ServeHTTP(w, r)
+			hist.Observe(time.Since(start).Seconds())
+		})
+	}
 }
 
 type server struct {
@@ -128,7 +130,8 @@ type server struct {
 	jitter   *rng.Stream
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -136,8 +139,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+// WriteError answers code with the uniform {"error": ...} envelope.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, errorResponse{Error: err.Error()})
 }
 
 // handleEvaluate accepts a config.Scenario JSON body and answers 200 with
@@ -148,7 +152,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	sc, err := config.Load(http.MaxBytesReader(w, r.Body, maxScenarioBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The tenant rides the submit context; absent header means the
@@ -160,7 +164,7 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantQuota):
 		s.setRetryAfter(w)
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.As(err, &peer):
 		// A live peer owns this scenario. 307 preserves the method and
@@ -170,17 +174,17 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		// then the claim has either expired or produced a stored result.
 		if peer.URL == "" {
 			s.setRetryAfter(w)
-			writeError(w, http.StatusConflict, err)
+			WriteError(w, http.StatusConflict, err)
 			return
 		}
 		w.Header().Set("Location", peer.URL+"/v1/evaluate")
-		writeError(w, http.StatusTemporaryRedirect, err)
+		WriteError(w, http.StatusTemporaryRedirect, err)
 		return
 	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	code := http.StatusAccepted
@@ -198,7 +202,7 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if resp.TraceID != "" {
 		resp.TraceURL = "/v1/jobs/" + view.ID + "/trace"
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 // handleJobTrace serves the job's recorded distributed trace: JSON span
@@ -208,11 +212,11 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	view, err := s.m.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	if view.TraceID == "" {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: job %s has no recorded trace", view.ID))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("service: job %s has no recorded trace", view.ID))
 		return
 	}
 	obs.ServeTrace(s.m.cfg.Tracer, view.TraceID)(w, r)
@@ -221,19 +225,19 @@ func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	view, err := s.m.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	view, err := s.m.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 // handleResult maps job states to codes: 200 done (the Result), 202 still
@@ -241,18 +245,18 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	res, view, err := s.m.Result(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	switch view.Status {
 	case StatusDone:
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	case StatusCancelled:
-		writeError(w, http.StatusGone, fmt.Errorf("service: job %s was cancelled", view.ID))
+		WriteError(w, http.StatusGone, fmt.Errorf("service: job %s was cancelled", view.ID))
 	case StatusFailed:
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("service: job %s failed: %s", view.ID, view.Error))
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("service: job %s failed: %s", view.ID, view.Error))
 	default:
-		writeJSON(w, http.StatusAccepted, view)
+		WriteJSON(w, http.StatusAccepted, view)
 	}
 }
 
@@ -275,18 +279,18 @@ type scenarioResponse struct {
 func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if view, ok := s.m.JobByHash(hash); ok {
-		writeJSON(w, http.StatusOK, scenarioResponse{
+		WriteJSON(w, http.StatusOK, scenarioResponse{
 			ScenarioHash: hash, Status: view.Status, Job: &view,
 		})
 		return
 	}
 	if res, ok := s.m.StoredResult(hash); ok {
-		writeJSON(w, http.StatusOK, scenarioResponse{
+		WriteJSON(w, http.StatusOK, scenarioResponse{
 			ScenarioHash: hash, Status: StatusDone, Result: res,
 		})
 		return
 	}
-	writeError(w, http.StatusNotFound,
+	WriteError(w, http.StatusNotFound,
 		fmt.Errorf("service: no job or stored result for scenario %s", hash))
 }
 
@@ -304,13 +308,13 @@ func (s *server) handleScenarioStream(w http.ResponseWriter, r *http.Request) {
 	if res, ok := s.m.StoredResult(hash); ok {
 		sse, err := NewSSEWriter(w)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		_ = sse.Send("result", res)
 		return
 	}
-	writeError(w, http.StatusNotFound,
+	WriteError(w, http.StatusNotFound,
 		fmt.Errorf("service: no job or stored result for scenario %s", hash))
 }
 
@@ -327,19 +331,5 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			body[k] = v
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// handleVars renders the expvar format: the process-global vars published
-// through expvar (cmdline, memstats, ...) plus this manager's metrics
-// under the "ahs_serve" key. The manager's vars are deliberately not
-// Publish()ed — see Metrics — so several managers can coexist in one
-// process, each handler reporting its own.
-func (s *server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n%q: %s", "ahs_serve", s.m.Metrics().Map().String())
-	expvar.Do(func(kv expvar.KeyValue) {
-		fmt.Fprintf(w, ",\n%q: %s", kv.Key, kv.Value.String())
-	})
-	fmt.Fprint(w, "\n}\n")
+	WriteJSON(w, http.StatusOK, body)
 }

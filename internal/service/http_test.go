@@ -129,18 +129,23 @@ func TestHTTPCacheHitOnRepeatedScenario(t *testing.T) {
 		t.Fatalf("cached result differs: %+v vs %+v", one, two)
 	}
 
-	// The acceptance check: the hit is observable on /debug/vars.
-	var vars struct {
-		AhsServe struct {
-			CacheHits   int64 `json:"cacheHits"`
-			CacheMisses int64 `json:"cacheMisses"`
-		} `json:"ahs_serve"`
+	// The acceptance check: the hit is observable on /metrics.
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resp := getJSON(t, srv.URL+"/debug/vars", &vars); resp.StatusCode != http.StatusOK {
-		t.Fatalf("vars status %d", resp.StatusCode)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if vars.AhsServe.CacheHits != 1 || vars.AhsServe.CacheMisses != 1 {
-		t.Fatalf("vars %+v", vars)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics status %d", resp.StatusCode)
+	}
+	for _, want := range []string{"ahs_service_cache_hits_total 1", "ahs_service_cache_misses_total 1"} {
+		if !strings.Contains("\n"+string(body), "\n"+want+"\n") {
+			t.Fatalf("metrics lack %q:\n%s", want, body)
+		}
 	}
 }
 
@@ -253,36 +258,6 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 	if health.Status != "ok" {
 		t.Fatalf("health %+v", health)
-	}
-}
-
-func TestHTTPDebugVarsIsValidExpvarJSON(t *testing.T) {
-	srv, _ := newTestServer(t, Config{Workers: 1})
-	resp, err := http.Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, body)
-	}
-	raw, ok := vars["ahs_serve"]
-	if !ok {
-		t.Fatalf("no ahs_serve key in %s", body)
-	}
-	var met map[string]int64
-	if err := json.Unmarshal(raw, &met); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range metricNames {
-		if _, ok := met[name]; !ok {
-			t.Errorf("metric %q missing from /debug/vars", name)
-		}
 	}
 }
 

@@ -103,10 +103,6 @@ type Config struct {
 	// rejected with ErrTenantQuota (HTTP 429) while others keep submitting.
 	// 0 means no per-tenant cap (the shared QueueSize still applies).
 	TenantQuota int
-	// TenantWeights sets deficit-round-robin weights per tenant; missing
-	// tenants weigh 1. A weight-2 tenant dequeues two jobs per scheduling
-	// cycle to every weight-1 tenant's one.
-	TenantWeights map[string]int
 }
 
 // BackendHealth describes the execution backend behind the manager, as
@@ -182,10 +178,6 @@ type job struct {
 	// hook and read by pollers without locking.
 	batchesDone atomic.Uint64
 	maxBatches  atomic.Uint64
-	// partial holds the latest in-flight curve snapshot (Welford CI state
-	// rendered as a Result) for the SSE stream; nil until the first
-	// accumulation round, and forever for backends without snapshots.
-	partial atomic.Pointer[Result]
 	// snaps numbers and retains recent snapshots so a dropped SSE stream
 	// can resume from its Last-Event-ID without missing events.
 	snaps snapshotLog
@@ -289,7 +281,7 @@ func NewManager(cfg Config) *Manager {
 		cache:      newResultCache(cfg.CacheSize),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		queue:      newFairQueue(cfg.QueueSize, cfg.TenantQuota, cfg.TenantWeights),
+		queue:      newFairQueue(cfg.QueueSize, cfg.TenantQuota),
 		jobs:       make(map[string]*job),
 		byHash:     make(map[string]*job),
 	}
@@ -473,18 +465,6 @@ func (m *Manager) Result(id string) (*Result, JobView, error) {
 	return res, j.view(), nil
 }
 
-// Partial returns the job's latest partial-result snapshot (the Welford
-// state after the most recent accumulation round), or nil when none has
-// been published yet — before the first round, for cached jobs, and for
-// backends without a snapshot source.
-func (m *Manager) Partial(id string) (*Result, error) {
-	j, err := m.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	return j.partial.Load(), nil
-}
-
 // Cancel requests cancellation of a queued or running job. Queued jobs
 // settle immediately; running jobs stop within one simulation batch. It is
 // a no-op on terminal jobs.
@@ -623,7 +603,6 @@ func (m *Manager) runJob(j *job) {
 	// backends without a snapshot source (the cluster) simply never call it
 	// and streams carry progress only.
 	ctx = withSnapshotSink(ctx, func(r *Result) {
-		j.partial.Store(r)
 		j.snaps.append(r)
 	})
 
@@ -648,8 +627,13 @@ func (m *Manager) runJob(j *job) {
 
 // finishIf atomically moves the job from one status to a terminal one; it
 // is the only place jobs reach terminal states, so done closes exactly
-// once and the outcome counters stay consistent.
+// once and the outcome counters stay consistent. It holds m.mu throughout
+// and closes done last, so whoever Waits for the job sees its outcome
+// counted, its claim released and the job out of the by-hash index (a
+// submission that follows a Wait never deduplicates onto it).
 func (m *Manager) finishIf(j *job, from, to Status, res *Result, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	j.mu.Lock()
 	if j.status != from {
 		j.mu.Unlock()
@@ -661,7 +645,6 @@ func (m *Manager) finishIf(j *job, from, to Status, res *Result, err error) {
 		j.errMsg = err.Error()
 	}
 	j.finished = time.Now()
-	close(j.done)
 	j.mu.Unlock()
 	// Release the job's context registration on the manager's base
 	// context; without this every finished job would stay reachable from
@@ -685,12 +668,11 @@ func (m *Manager) finishIf(j *job, from, to Status, res *Result, err error) {
 		m.fleetRelease(j.hash)
 	}
 
-	m.mu.Lock()
 	if m.byHash[j.hash] == j {
 		delete(m.byHash, j.hash)
 	}
 	m.rememberFinishedLocked(j.id)
-	m.mu.Unlock()
+	close(j.done)
 }
 
 // traceIDOf renders a span context's trace ID, or "" for the zero value.

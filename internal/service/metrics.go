@@ -1,18 +1,10 @@
 package service
 
-import (
-	"expvar"
-
-	"ahs/internal/telemetry"
-)
+import "ahs/internal/telemetry"
 
 // Metrics are the manager's operational counters and gauges. They live as
-// families in a telemetry.Registry (scraped at GET /metrics in Prometheus
-// text format) and are re-exported under the historical expvar names
-// through Map(), so the /debug/vars surface documented in docs/api.md is
-// unchanged. They are intentionally not expvar.Publish()ed globally —
-// Publish panics on duplicate names, which would forbid more than one
-// Manager per process (tests run many).
+// families in the manager's telemetry.Registry, scraped at GET /metrics in
+// Prometheus text format.
 //
 // Counters are monotonic; QueueDepth and Running are gauges.
 type Metrics struct {
@@ -103,46 +95,4 @@ func newMetrics(reg *telemetry.Registry, workers int) Metrics {
 		return float64(m.Running.Value()) / float64(workers)
 	})
 	return m
-}
-
-// metricNames fixes the exported key order and spelling; docs/api.md
-// documents these names, and TestMetricsMapKeepsExpvarNames pins them.
-var metricNames = []string{
-	"submitted", "completed", "failed", "cancelled",
-	"cacheHits", "cacheMisses", "storeHits", "storeMisses",
-	"dedupHits", "queueRejects",
-	"queueDepth", "running", "evalMillis", "batchesSimulated",
-}
-
-// Map assembles a fresh expvar.Map view over the live counters, keeping the
-// pre-registry expvar names. The map holds expvar.Func readers over the
-// registry-backed values, so it always reflects current values.
-func (m *Metrics) Map() *expvar.Map {
-	counter := func(c *telemetry.Counter) expvar.Var {
-		return expvar.Func(func() any { return c.Value() })
-	}
-	gauge := func(g *telemetry.Gauge) expvar.Var {
-		return expvar.Func(func() any { return g.Value() })
-	}
-	vars := map[string]expvar.Var{
-		"submitted":        counter(m.Submitted),
-		"completed":        counter(m.Completed),
-		"failed":           counter(m.Failed),
-		"cancelled":        counter(m.Cancelled),
-		"cacheHits":        counter(m.CacheHits),
-		"cacheMisses":      counter(m.CacheMisses),
-		"storeHits":        counter(m.StoreHits),
-		"storeMisses":      counter(m.StoreMisses),
-		"dedupHits":        counter(m.DedupHits),
-		"queueRejects":     counter(m.QueueRejects),
-		"queueDepth":       gauge(m.QueueDepth),
-		"running":          gauge(m.Running),
-		"evalMillis":       counter(m.EvalMillis),
-		"batchesSimulated": counter(m.BatchesSimulated),
-	}
-	out := new(expvar.Map).Init()
-	for _, name := range metricNames {
-		out.Set(name, vars[name])
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,42 +13,6 @@ import (
 	"ahs/internal/obs"
 	"ahs/internal/telemetry"
 )
-
-// TestMetricsMapKeepsExpvarNames pins the /debug/vars compatibility
-// contract: after the migration onto the telemetry registry, Map() must
-// keep exactly the historical expvar keys, with live numeric values.
-func TestMetricsMapKeepsExpvarNames(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	m := newMetrics(reg, 2)
-	m.Submitted.Add(3)
-	m.CacheHits.Inc()
-	m.QueueDepth.Set(5)
-	m.Running.Add(1)
-	m.EvalMillis.Add(1234)
-	m.BatchesSimulated.Add(99)
-
-	var got map[string]int64
-	if err := json.Unmarshal([]byte(m.Map().String()), &got); err != nil {
-		t.Fatalf("Map output is not a JSON object: %v", err)
-	}
-	if len(got) != len(metricNames) {
-		t.Fatalf("Map has %d keys, want %d: %v", len(got), len(metricNames), got)
-	}
-	for _, name := range metricNames {
-		if _, ok := got[name]; !ok {
-			t.Errorf("Map missing historical expvar key %q", name)
-		}
-	}
-	want := map[string]int64{
-		"submitted": 3, "cacheHits": 1, "queueDepth": 5, "running": 1,
-		"evalMillis": 1234, "batchesSimulated": 99, "completed": 0,
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s = %d, want %d", name, got[name], v)
-		}
-	}
-}
 
 // TestMetricsRegistryFamilies checks the same counters surface as
 // Prometheus families, including the derived ratio gauges.

@@ -11,46 +11,41 @@ import (
 var ErrTenantQuota = errors.New("service: tenant queue quota exceeded")
 
 // fairQueue replaces the manager's single FIFO with per-tenant FIFOs
-// drained by deficit round-robin: every job costs one unit, each active
-// tenant earns its weight in credit when its turn comes and dequeues that
-// many jobs before the turn passes on. With equal weights the schedule
-// degenerates to strict round-robin over active tenants, which is the
-// fairness property the tests pin: a tenant flooding the queue cannot push
-// another tenant's job more than one cycle back, so waits stay bounded by
-// the number of active tenants, not by the flooder's backlog.
+// served round-robin: each active tenant dequeues one job when its turn
+// comes, then the turn passes on. A tenant flooding the queue therefore
+// cannot push another tenant's job more than one cycle back, so waits
+// stay bounded by the number of active tenants, not by the flooder's
+// backlog.
 //
 // The total capacity bound is shared (like the old FIFO channel) and an
 // optional per-tenant quota rejects a single tenant monopolizing the
-// queue's admission as well as its service order.
+// queue's admission as well as its service order. A tenant's lane exists
+// only while it has queued jobs, so the client-chosen tenant names that
+// pass through leave nothing behind.
 type fairQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	capacity int
-	quota    int            // per-tenant queued-job cap; 0 = unbounded
-	weights  map[string]int // tenant -> DRR weight; missing = 1
+	quota    int // per-tenant queued-job cap; 0 = unbounded
 
-	tenants map[string]*tenantFIFO
-	ring    []*tenantFIFO // active tenants in arrival order
-	next    int           // ring index holding the turn
-	size    int           // total queued jobs
+	tenants map[string]*tenantFIFO // lanes with queued jobs
+	ring    []*tenantFIFO          // the same lanes in arrival order
+	next    int                    // ring index holding the turn
+	size    int                    // total queued jobs
 	closed  bool
 }
 
-// tenantFIFO is one tenant's pending jobs plus its scheduler state.
+// tenantFIFO is one tenant's pending jobs.
 type tenantFIFO struct {
-	name   string
-	jobs   []*job
-	weight int
-	credit int  // remaining dequeues in the current turn
-	inRing bool // queued in fairQueue.ring
+	name string
+	jobs []*job
 }
 
-func newFairQueue(capacity, quota int, weights map[string]int) *fairQueue {
+func newFairQueue(capacity, quota int) *fairQueue {
 	q := &fairQueue{
 		capacity: capacity,
 		quota:    quota,
-		weights:  weights,
 		tenants:  make(map[string]*tenantFIFO),
 	}
 	q.cond = sync.NewCond(&q.mu)
@@ -70,23 +65,16 @@ func (q *fairQueue) push(j *job) error {
 		return ErrQueueFull
 	}
 	t := q.tenants[j.tenant]
-	if t == nil {
-		w := q.weights[j.tenant]
-		if w <= 0 {
-			w = 1
-		}
-		t = &tenantFIFO{name: j.tenant, weight: w}
-		q.tenants[j.tenant] = t
-	}
-	if q.quota > 0 && len(t.jobs) >= q.quota {
+	if q.quota > 0 && t != nil && len(t.jobs) >= q.quota {
 		return ErrTenantQuota
+	}
+	if t == nil {
+		t = &tenantFIFO{name: j.tenant}
+		q.tenants[j.tenant] = t
+		q.ring = append(q.ring, t)
 	}
 	t.jobs = append(t.jobs, j)
 	q.size++
-	if !t.inRing {
-		t.inRing = true
-		q.ring = append(q.ring, t)
-	}
 	q.cond.Signal()
 	return nil
 }
@@ -109,36 +97,29 @@ func (q *fairQueue) pop() (*job, bool) {
 	}
 }
 
-// popLocked runs one DRR step; q.mu must be held. Returns nil when empty.
+// popLocked serves the lane holding the turn; q.mu must be held. Returns
+// nil when empty.
 func (q *fairQueue) popLocked() *job {
-	for q.size > 0 {
-		if q.next >= len(q.ring) {
-			q.next = 0
-		}
-		t := q.ring[q.next]
-		if len(t.jobs) == 0 {
-			// Drained tenant: retire from the ring (keeping q.next pointing
-			// at the element that slid into its slot) and forget its credit
-			// so a later burst starts a fresh turn.
-			q.ring = append(q.ring[:q.next], q.ring[q.next+1:]...)
-			t.inRing = false
-			t.credit = 0
-			continue
-		}
-		if t.credit == 0 {
-			t.credit = t.weight
-		}
-		j := t.jobs[0]
-		t.jobs[0] = nil // release the reference for GC
-		t.jobs = t.jobs[1:]
-		q.size--
-		t.credit--
-		if t.credit == 0 {
-			q.next++ // turn spent: move on
-		}
-		return j
+	if q.size == 0 {
+		return nil
 	}
-	return nil
+	if q.next >= len(q.ring) {
+		q.next = 0
+	}
+	t := q.ring[q.next]
+	j := t.jobs[0]
+	t.jobs[0] = nil // release the reference for GC
+	t.jobs = t.jobs[1:]
+	q.size--
+	if len(t.jobs) == 0 {
+		// Drained lane: retire it, leaving q.next on the lane that slid
+		// into its slot.
+		q.ring = append(q.ring[:q.next], q.ring[q.next+1:]...)
+		delete(q.tenants, t.name)
+	} else {
+		q.next++
+	}
+	return j
 }
 
 // len reports the total queued jobs.

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func popIDs(t *testing.T, q *fairQueue, n int) []string {
 }
 
 func TestFairQueueRoundRobinAcrossTenants(t *testing.T) {
-	q := newFairQueue(16, 0, nil)
+	q := newFairQueue(16, 0)
 	for _, j := range []*job{
 		qjob("a1", "A"), qjob("a2", "A"), qjob("a3", "A"), qjob("a4", "A"),
 		qjob("b1", "B"), qjob("b2", "B"),
@@ -49,25 +50,8 @@ func TestFairQueueRoundRobinAcrossTenants(t *testing.T) {
 	}
 }
 
-func TestFairQueueHonorsWeights(t *testing.T) {
-	q := newFairQueue(16, 0, map[string]int{"A": 2})
-	for _, j := range []*job{
-		qjob("a1", "A"), qjob("a2", "A"), qjob("a3", "A"), qjob("a4", "A"),
-		qjob("b1", "B"), qjob("b2", "B"),
-	} {
-		if err := q.push(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := strings.Join(popIDs(t, q, 6), " ")
-	// Weight 2 buys two dequeues per turn.
-	if want := "a1 a2 b1 a3 a4 b2"; got != want {
-		t.Fatalf("service order %q, want %q", got, want)
-	}
-}
-
 func TestFairQueueTenantQuota(t *testing.T) {
-	q := newFairQueue(16, 2, nil)
+	q := newFairQueue(16, 2)
 	if err := q.push(qjob("a1", "A")); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +73,7 @@ func TestFairQueueTenantQuota(t *testing.T) {
 }
 
 func TestFairQueueCapacityAndClose(t *testing.T) {
-	q := newFairQueue(2, 0, nil)
+	q := newFairQueue(2, 0)
 	if err := q.push(qjob("a1", "A")); err != nil {
 		t.Fatal(err)
 	}
@@ -231,5 +215,42 @@ func TestTenantLabelCardinalityCapped(t *testing.T) {
 	// Known tenants keep their identity label.
 	if got := tm.label("t"); got != "t" {
 		t.Fatalf("existing tenant relabeled %q", got)
+	}
+}
+
+// TestTenantStateBoundedUnderManyTenants: X-AHS-Tenant is client-chosen,
+// so neither the queue's lanes nor the metric labels may keep one entry
+// per tenant name ever seen.
+func TestTenantStateBoundedUnderManyTenants(t *testing.T) {
+	q := newFairQueue(16, 0)
+	tm := newTenantMetrics(telemetry.NewRegistry())
+	for i := 0; i < 10000; i++ {
+		tenant := fmt.Sprintf("tenant-%d", i)
+		if err := q.push(qjob(fmt.Sprint(i), tenant)); err != nil {
+			t.Fatal(err)
+		}
+		tm.onSubmit(tenant)
+		if got := popIDs(t, q, 1)[0]; got != fmt.Sprint(i) {
+			t.Fatalf("popped job %s, want %d", got, i)
+		}
+		tm.onComplete(tenant)
+	}
+	if n := len(q.tenants); n != 0 {
+		t.Fatalf("queue keeps %d drained lanes", n)
+	}
+	if n := len(q.ring); n != 0 {
+		t.Fatalf("queue ring keeps %d drained lanes", n)
+	}
+	if n := len(tm.labels); n > maxTenantLabels {
+		t.Fatalf("tenant metrics remember %d labels, cap %d", n, maxTenantLabels)
+	}
+	for i := 0; i < maxTenantLabels; i++ {
+		tenant := fmt.Sprintf("tenant-%d", i)
+		if got := tm.label(tenant); got != tenant {
+			t.Fatalf("tenant %s labeled %q", tenant, got)
+		}
+	}
+	if got := tm.label("tenant-9999"); got != tenantOverflowLabel {
+		t.Fatalf("late tenant labeled %q, want %q", got, tenantOverflowLabel)
 	}
 }

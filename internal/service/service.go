@@ -2,8 +2,9 @@
 // into a long-lived, shareable system: a job manager with a bounded worker
 // pool over the Monte-Carlo estimator, request deduplication by canonical
 // scenario hash (config.Scenario.Hash), an LRU cache of finished results,
-// per-job progress tracking and cancellation, and expvar-style operational
-// metrics. cmd/ahs-serve exposes it over an HTTP JSON API.
+// per-job progress tracking and cancellation, and operational metrics in a
+// telemetry registry (GET /metrics). cmd/ahs-serve exposes it over an HTTP
+// JSON API.
 //
 // The design leans on two properties of the underlying estimator:
 //

@@ -175,7 +175,7 @@ func lastEventID(r *http.Request) uint64 {
 func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.m.Job(id); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	s.streamJob(w, r, id)
@@ -187,7 +187,7 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 func (s *server) streamJob(w http.ResponseWriter, r *http.Request, id string) {
 	sse, err := NewSSEWriter(w)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 

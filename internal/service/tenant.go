@@ -15,7 +15,7 @@ const DefaultTenant = "default"
 // labels. X-AHS-Tenant is client-controlled, so without a cap a hostile or
 // misconfigured client could mint unbounded label cardinality; tenants
 // past the cap share the overflow label below. Scheduling is NOT capped —
-// every tenant gets its own fair-share queue regardless.
+// every tenant with queued jobs gets its own round-robin lane regardless.
 const maxTenantLabels = 64
 
 // tenantOverflowLabel aggregates tenants past maxTenantLabels.
@@ -52,7 +52,7 @@ type tenantMetrics struct {
 	depth     *telemetry.GaugeVec
 
 	mu     sync.Mutex
-	labels map[string]string // tenant -> exported label (identity or overflow)
+	labels map[string]struct{} // tenants exported under their own label
 }
 
 func newTenantMetrics(reg *telemetry.Registry) *tenantMetrics {
@@ -77,22 +77,23 @@ func newTenantMetrics(reg *telemetry.Registry) *tenantMetrics {
 }
 
 // label maps a tenant to its exported label value, folding tenants past
-// the cardinality cap into the overflow label.
+// the cardinality cap into the overflow label. Only the first
+// maxTenantLabels tenants are remembered, so the set stays bounded however
+// many names clients send.
 func (t *tenantMetrics) label(tenant string) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.labels == nil {
-		t.labels = make(map[string]string)
+	if _, ok := t.labels[tenant]; ok {
+		return tenant
 	}
-	if l, ok := t.labels[tenant]; ok {
-		return l
-	}
-	l := tenant
 	if len(t.labels) >= maxTenantLabels {
-		l = tenantOverflowLabel
+		return tenantOverflowLabel
 	}
-	t.labels[tenant] = l
-	return l
+	if t.labels == nil {
+		t.labels = make(map[string]struct{})
+	}
+	t.labels[tenant] = struct{}{}
+	return tenant
 }
 
 func (t *tenantMetrics) onSubmit(tenant string) {

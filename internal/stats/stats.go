@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates mean and variance in a single numerically stable pass.
@@ -257,29 +256,4 @@ func (r RelativeStopRule) Satisfied(w *Welford) bool {
 		return false
 	}
 	return w.CI(r.Confidence).RelativeHalfWidth() <= r.MaxRelHalfWidth
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of a sorted copy of xs using
-// linear interpolation. It returns an error when xs is empty or q is out of
-// range.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	i := int(pos)
-	if i == len(sorted)-1 {
-		return sorted[i], nil
-	}
-	frac := pos - float64(i)
-	return sorted[i]*(1-frac) + sorted[i+1]*frac, nil
 }

@@ -226,36 +226,6 @@ func TestPaperStopRuleParameters(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4}
-	q0, _ := Quantile(xs, 0)
-	q1, _ := Quantile(xs, 1)
-	med, _ := Quantile(xs, 0.5)
-	if q0 != 1 || q1 != 4 {
-		t.Fatalf("extremes %v %v", q0, q1)
-	}
-	if !almostEqual(med, 2.5, 1e-12) {
-		t.Fatalf("median %v", med)
-	}
-	// Input must not be mutated.
-	if xs[0] != 3 {
-		t.Fatal("Quantile mutated its input")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Fatal("expected error for empty input")
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Fatal("expected error for out-of-range q")
-	}
-}
-
-func TestQuantileSingleElement(t *testing.T) {
-	v, err := Quantile([]float64{7}, 0.3)
-	if err != nil || v != 7 {
-		t.Fatalf("got %v, %v", v, err)
-	}
-}
-
 func TestIntervalString(t *testing.T) {
 	iv := Interval{Point: 0.5, Lo: 0.4, Hi: 0.6, Confidence: 0.95, N: 100}
 	s := iv.String()

@@ -57,6 +57,10 @@ const (
 	PointCancelled PointStatus = "cancelled"
 )
 
+// retryInterval is the pause before retrying a point submission bounced
+// by a full manager queue or the tenant's quota.
+const retryInterval = 50 * time.Millisecond
+
 // Config sizes the engine. Manager is required; everything else defaults.
 type Config struct {
 	// Manager executes the expanded points. Sweep points share its
@@ -73,9 +77,6 @@ type Config struct {
 	MaxPoints int
 	// HistorySize bounds how many finished sweeps stay pollable (default 64).
 	HistorySize int
-	// RetryInterval is the pause before retrying a submission bounced by
-	// a full manager queue (default 50ms).
-	RetryInterval time.Duration
 	// Tracer, when non-nil, re-attaches each sweep's run to the
 	// submitter's trace so expansion, dedup and every point submission
 	// appear under one distributed trace. Nil disables sweep spans.
@@ -94,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HistorySize <= 0 {
 		c.HistorySize = 64
-	}
-	if c.RetryInterval <= 0 {
-		c.RetryInterval = 50 * time.Millisecond
 	}
 	return c
 }
@@ -429,7 +427,7 @@ func (e *Engine) submitPoint(ctx context.Context, rec *sweepRec, p *pointRec) (s
 			return view, err
 		}
 		select {
-		case <-time.After(e.cfg.RetryInterval):
+		case <-time.After(retryInterval):
 		case <-rec.ctx.Done():
 			return service.JobView{}, context.Cause(rec.ctx)
 		}

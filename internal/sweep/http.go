@@ -1,14 +1,11 @@
 package sweep
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
 
-	"ahs/internal/obs"
 	"ahs/internal/service"
-	"ahs/internal/telemetry"
 )
 
 // maxSpecBytes bounds the request body of POST /v1/sweeps; even a spec
@@ -27,31 +24,15 @@ type submitResponse struct {
 	ReportURL    string `json:"reportUrl"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // NewHandler exposes the engine over the HTTP JSON API mounted by
 // cmd/ahs-serve under /v1/sweeps; docs/api.md documents the endpoints.
-// Routes share the service's ahs_http_request_duration_seconds histogram
-// family, so one scrape covers evaluate and sweep latency alike.
+// Routes mount through service.Router, so they share the service's
+// ahs_http_request_duration_seconds histogram family and one scrape
+// covers evaluate and sweep latency alike.
 func NewHandler(e *Engine) http.Handler {
 	s := &server{e: e}
-	latency := e.cfg.Telemetry.HistogramVec(telemetry.Opts{
-		Name:    "ahs_http_request_duration_seconds",
-		Help:    "API request latency by route pattern.",
-		Buckets: service.RequestDurationBuckets,
-	}, "endpoint")
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.HandlerFunc) {
-		hist := latency.With(pattern) //ahsvet:ignore locklabel patterns are the compile-time route literals below
-		traced := obs.Middleware(e.cfg.Tracer, pattern, h)
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			traced.ServeHTTP(w, r)
-			hist.Observe(time.Since(start).Seconds())
-		})
-	}
+	handle := service.Router(mux, e.cfg.Telemetry, e.cfg.Tracer)
 	handle("POST /v1/sweeps", s.handleSubmit)
 	handle("GET /v1/sweeps", s.handleList)
 	handle("GET /v1/sweeps/{id}", s.handleSweep)
@@ -66,25 +47,13 @@ type server struct {
 	e *Engine
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
 // handleSubmit accepts a sweep Spec JSON body and answers 202 with the
 // sweep ack, 400 on a malformed or invalid spec (including designs beyond
 // the point budget) and 503 during shutdown.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sp, err := Load(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The tenant rides the submit context, exactly as for single
@@ -93,13 +62,13 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	view, err := s.e.SubmitCtx(ctx, sp)
 	switch {
 	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
+		service.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitResponse{
+	service.WriteJSON(w, http.StatusAccepted, submitResponse{
 		ID:           view.ID,
 		Status:       view.Status,
 		Points:       view.Points,
@@ -112,16 +81,16 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.e.Sweeps())
+	service.WriteJSON(w, http.StatusOK, s.e.Sweeps())
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	view, err := s.e.Sweep(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	service.WriteJSON(w, http.StatusOK, view)
 }
 
 // handleStream serves GET /v1/sweeps/{id}/stream: an SSE stream of the
@@ -134,12 +103,12 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.e.Sweep(id); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	sse, err := service.NewSSEWriter(w)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		service.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	var last View
@@ -190,19 +159,19 @@ func changed(a, b View) bool {
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	view, err := s.e.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	service.WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 	results, err := s.e.Results(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, results)
+	service.WriteJSON(w, http.StatusOK, results)
 }
 
 // handleReport renders the live response surface as HTML; a sweep still
@@ -211,12 +180,12 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	rec, err := s.e.lookup(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	results, err := s.e.Results(rec.id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		service.WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

@@ -128,7 +128,9 @@ func TestHTTPSweepErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var e errorResponse
+		var e struct {
+			Error string `json:"error"`
+		}
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		if resp.StatusCode >= 400 && e.Error == "" {
 			t.Errorf("error response without an error field (%d)", resp.StatusCode)

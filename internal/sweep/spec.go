@@ -20,7 +20,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strings"
 
 	"ahs/internal/config"
@@ -65,7 +64,7 @@ type Spec struct {
 // be set: Values (numeric levels), Strings (categorical levels), or
 // Min/Max (a range sampled by the Latin-hypercube design).
 type Axis struct {
-	// Param names the swept scenario field; see AxisParams.
+	// Param names the swept scenario field (docs/api.md lists them).
 	Param string `json:"param"`
 	// Values are explicit numeric levels, crossed grid-style.
 	Values []float64 `json:"values,omitempty"`
@@ -142,18 +141,6 @@ func lookupAxisDef(param string) (axisDef, error) {
 		return axisDef{}, fmt.Errorf("sweep: unknown maneuver %q in axis param %q", abbr, param)
 	}
 	return axisDef{}, fmt.Errorf("sweep: unknown axis param %q (see docs/api.md for the sweepable fields)", param)
-}
-
-// AxisParams lists the sweepable parameter names, sorted, for error
-// messages and documentation tests.
-func AxisParams() []string {
-	names := make([]string, 0, len(axisDefs)+1)
-	for name := range axisDefs {
-		names = append(names, name)
-	}
-	names = append(names, maneuverRatePrefix+"<maneuver>")
-	sort.Strings(names)
-	return names
 }
 
 // Load parses a sweep spec from JSON, rejecting unknown fields, and

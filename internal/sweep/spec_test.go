@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -110,17 +109,5 @@ func TestValidateAcceptsManeuverRateAxis(t *testing.T) {
 	}}
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("maneuver-rate axis rejected: %v", err)
-	}
-}
-
-func TestAxisParamsSortedAndComplete(t *testing.T) {
-	params := AxisParams()
-	if !slices.IsSorted(params) {
-		t.Fatalf("AxisParams not sorted: %v", params)
-	}
-	for _, want := range []string{"strategy", "lambdaPerHour", "n", "seed", "maneuverRatesPerHour.<maneuver>"} {
-		if !slices.Contains(params, want) {
-			t.Fatalf("AxisParams missing %q: %v", want, params)
-		}
 	}
 }

@@ -46,12 +46,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
-
 // snapshot returns a point-in-time copy of the histogram state. The bucket
 // counts are per-bucket (not cumulative); the exposition layer accumulates.
 func (h *Histogram) snapshot() *HistogramData {
@@ -77,18 +71,6 @@ type HistogramData struct {
 	// Count and Sum summarise all observations.
 	Count uint64
 	Sum   float64
-}
-
-// LinearBuckets returns n fixed-width bucket bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 || !(width > 0) {
-		panic(fmt.Sprintf("telemetry: LinearBuckets(%v, %v, %d): need n >= 1 and width > 0", start, width, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
 }
 
 // ExponentialBuckets returns n bucket bounds start, start·factor, ...

@@ -81,10 +81,6 @@ func TestHistogramBucketing(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(0, 0.5, 4)
-	if len(lin) != 4 || lin[3] != 1.5 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
 	exp := ExponentialBuckets(1, 2, 5)
 	if len(exp) != 5 || exp[4] != 16 {
 		t.Fatalf("ExponentialBuckets = %v", exp)
@@ -112,10 +108,10 @@ func TestConcurrentUpdatesAreLossless(t *testing.T) {
 	if got := vec.With("shared").Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := h.Count(); got != workers*perWorker {
+	if got := h.count.Load(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
-	if got := h.Sum(); math.Abs(got-workers*perWorker) > 1e-6 {
+	if got := h.sum.Value(); math.Abs(got-workers*perWorker) > 1e-6 {
 		t.Fatalf("histogram sum = %v, want %d", got, workers*perWorker)
 	}
 }
@@ -179,7 +175,7 @@ func TestSimCollectorRouting(t *testing.T) {
 	if c.trajectories.Value() != 1 {
 		t.Fatal("trajectory not recorded")
 	}
-	if c.steps.Count() != 1 || c.timeToKO.Count() != 1 {
+	if c.steps.count.Load() != 1 || c.timeToKO.count.Load() != 1 {
 		t.Fatal("histograms not recorded")
 	}
 
