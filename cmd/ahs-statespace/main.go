@@ -124,6 +124,8 @@ func run(args []string) error {
 	switch {
 	case errors.Is(err, ctmc.ErrUnreachableTarget):
 		fmt.Println("mean time to catastrophe: unreachable")
+	case errors.Is(err, ctmc.ErrNotConverged):
+		fmt.Printf("mean time to catastrophe: not computed (%v)\n", err)
 	case err != nil:
 		return err
 	case math.IsInf(mttc, 1):

@@ -113,15 +113,15 @@ func TestVetFindsSeededViolations(t *testing.T) {
 	write("internal/telemetry/telemetry.go", `package telemetry
 
 type Sink interface {
-	Count(metric, label string)
+	Add(metric, label string, n uint64)
 	Observe(metric, label string, v float64)
 }
 
 type fan struct{ sinks []Sink }
 
-func (f *fan) Count(metric, label string) {
+func (f *fan) Add(metric, label string, n uint64) {
 	for _, s := range f.sinks {
-		s.Count(metric, label)
+		s.Add(metric, label, n)
 	}
 }
 `)
@@ -147,11 +147,11 @@ func Same(a, b float64) bool { return a == b }
 func Fine(p float64) bool { return p == 0 } //ahsvet:ignore floateq (not needed: constant comparand)
 
 func Leak(s telemetry.Sink, jobID string) {
-	s.Count("jobs", jobID)
+	s.Add("jobs", jobID, 1)
 }
 
 func Bounded(s telemetry.Sink, strategy string) {
-	s.Count("runs", strategy) //ahsvet:ignore locklabel strategy ranges over the four paper codes
+	s.Add("runs", strategy, 1) //ahsvet:ignore locklabel strategy ranges over the four paper codes
 }
 `)
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")

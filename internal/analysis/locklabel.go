@@ -20,7 +20,7 @@ import (
 // Flagged calls:
 //
 //   - CounterVec/GaugeVec/HistogramVec.With(values...) — every value
-//   - Sink.Count(metric, label) and Sink.Observe(metric, label, v) — the
+//   - Sink.Add(metric, label, n) and Sink.Observe(metric, label, v) — the
 //     label argument (the metric key is checked too: it names the family)
 //
 // Exempt: internal/telemetry itself (the collector fans bounded strategy
@@ -62,7 +62,7 @@ func runLockLabel(pass *Pass) error {
 			switch fn.Name() {
 			case "With":
 				labels = call.Args
-			case "Count", "Observe":
+			case "Add", "Observe":
 				// (metric, label, ...) — both strings key the family.
 				if len(call.Args) >= 2 {
 					labels = call.Args[:2]
@@ -82,7 +82,7 @@ func runLockLabel(pass *Pass) error {
 
 // isTelemetryMethod reports whether fn is one of the label-taking methods of
 // the internal/telemetry package: the vec With constructors or the Sink
-// interface's Count/Observe.
+// interface's Add/Observe.
 func isTelemetryMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -104,7 +104,7 @@ func isTelemetryMethod(fn *types.Func) bool {
 	case "CounterVec", "GaugeVec", "HistogramVec":
 		return fn.Name() == "With"
 	case "Sink":
-		return fn.Name() == "Count" || fn.Name() == "Observe"
+		return fn.Name() == "Add" || fn.Name() == "Observe"
 	}
 	return false
 }

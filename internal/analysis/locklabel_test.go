@@ -23,7 +23,7 @@ func (v *GaugeVec) With(values ...string) *Counter { return new(Counter) }
 type HistogramVec struct{}
 func (v *HistogramVec) With(values ...string) *Counter { return new(Counter) }
 type Sink interface {
-	Count(metric, label string)
+	Add(metric, label string, n uint64)
 	Observe(metric, label string, v float64)
 }
 const MetricActivityFirings = "activity_firings"
@@ -84,7 +84,7 @@ func TestLockLabel(t *testing.T) {
 import "ahs/internal/telemetry"
 func f(v *telemetry.CounterVec, s telemetry.Sink, label string) {
 	v.With(label).Inc()
-	s.Count("metric", label)
+	s.Add("metric", label, 1)
 	s.Observe(telemetry.MetricActivityFirings, label, 1)
 }
 `
@@ -105,7 +105,7 @@ func f(v *telemetry.GaugeVec, site string) {
 import "ahs/internal/telemetry"
 func f(v *telemetry.CounterVec, s telemetry.Sink) {
 	v.With("route", "GET").Inc()
-	s.Count("metric", "label")
+	s.Add("metric", "label", 1)
 }
 `,
 		"named constants": `package p

@@ -318,12 +318,7 @@ func (a *AHS) View(mk *san.Marking) platoon.View {
 	for i, lane := range a.lanes {
 		platoons[i] = mk.Ext(lane)
 	}
-	return platoon.View{
-		Platoons: platoons,
-		Operational: func(id int) bool {
-			return mk.Tokens(a.fm[id]) == 0
-		},
-	}
+	return platoon.View{Platoons: platoons}
 }
 
 // CheckInvariants verifies structural invariants of a marking reached

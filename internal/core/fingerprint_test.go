@@ -107,7 +107,7 @@ func TestTrajectoryFingerprint(t *testing.T) {
 	// once a failure is active.
 	adaptive := sim.NewBias()
 	for _, name := range a.failureActivities {
-		err := adaptive.SetFnByName(a.Model, name, func(mk *san.Marking) float64 {
+		err := adaptive.SetFn(a.Model.TimedIndex(name), func(mk *san.Marking) float64 {
 			if nA, nB, nC := a.ActiveFailures(mk); nA+nB+nC == 0 {
 				return 36
 			}

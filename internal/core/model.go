@@ -148,8 +148,8 @@ func (a *AHS) buildOneVehicleReplicas(b *san.Builder) {
 						Output: func(mk *san.Marking) { mk.SetTokens(a.phase[i], 2) },
 					},
 					{
-						Weight: func(mk *san.Marking) float64 { return 1 - a.coordinationSuccessProb(mk, i) },
-						Output: func(mk *san.Marking) { a.escalateAfterFailure(mk, i) },
+						Complement: true,
+						Output:     func(mk *san.Marking) { a.escalateAfterFailure(mk, i) },
 					},
 				},
 			})
@@ -168,8 +168,8 @@ func (a *AHS) buildOneVehicleReplicas(b *san.Builder) {
 					Output: func(mk *san.Marking) {
 						// Read the maneuver before removeVehicle clears it.
 						if s := a.tsink(); s != nil {
-							s.Count(telemetry.MetricManeuverAttempts, //ahsvet:ignore locklabel maneuver names are the closed platoon.AllManeuvers set
-								platoon.Maneuver(mk.Tokens(a.man[i])).String())
+							s.Add(telemetry.MetricManeuverAttempts, //ahsvet:ignore locklabel maneuver names are the closed platoon.AllManeuvers set
+								platoon.Maneuver(mk.Tokens(a.man[i])).String(), 1)
 						}
 						if a.Params.TrackOutcomes {
 							mk.Add(a.vOK, 1)
@@ -178,12 +178,12 @@ func (a *AHS) buildOneVehicleReplicas(b *san.Builder) {
 					},
 				},
 				{ // failure: escalate along the chain of Figure 2
-					Weight: func(mk *san.Marking) float64 { return 1 - a.maneuverSuccessProb(mk, i) },
+					Complement: true,
 					Output: func(mk *san.Marking) {
 						if s := a.tsink(); s != nil {
 							m := platoon.Maneuver(mk.Tokens(a.man[i])).String()
-							s.Count(telemetry.MetricManeuverAttempts, m) //ahsvet:ignore locklabel maneuver names are the closed platoon.AllManeuvers set
-							s.Count(telemetry.MetricManeuverFailures, m) //ahsvet:ignore locklabel maneuver names are the closed platoon.AllManeuvers set
+							s.Add(telemetry.MetricManeuverAttempts, m, 1) //ahsvet:ignore locklabel maneuver names are the closed platoon.AllManeuvers set
+							s.Add(telemetry.MetricManeuverFailures, m, 1) //ahsvet:ignore locklabel maneuver names are the closed platoon.AllManeuvers set
 						}
 						a.escalateAfterFailure(mk, i)
 					},

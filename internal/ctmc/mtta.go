@@ -12,6 +12,10 @@ import (
 // be reached from the initial state at all.
 var ErrUnreachableTarget = errors.New("ctmc: target unreachable from initial state")
 
+// ErrNotConverged is wrapped by the errors of iterative solves that reach
+// their sweep limit before their tolerance.
+var ErrNotConverged = errors.New("ctmc: iterative solve did not converge")
+
 // canReach returns, for every state, whether the target set is reachable
 // from it (backward breadth-first search over the transition graph).
 func (g *Graph) canReach(target []bool) []bool {
@@ -119,7 +123,7 @@ func (g *Graph) MeanTimeTo(pred san.Predicate, tol float64, maxIter int) (float6
 			return t[g.Initial], nil
 		}
 	}
-	return 0, fmt.Errorf("ctmc: mean-time-to solve did not converge in %d sweeps", maxIter)
+	return 0, fmt.Errorf("%w: mean time to target after %d sweeps", ErrNotConverged, maxIter)
 }
 
 // reachableCanMiss reports whether a state reachable from the initial state
@@ -150,8 +154,11 @@ func (g *Graph) reachableCanMiss(target, reach []bool) bool {
 
 // AbsorptionProbability returns the probability that the chain, started in
 // the initial state, ever enters a state satisfying pred (the t → ∞ limit
-// of the transient probability). Solved by Gauss-Seidel on
-// p_i = Σ_j P_ij·p_j with p = 1 on the target.
+// of the transient probability). It is exactly 0 when no target state is
+// reachable and exactly 1 when every state reachable from the initial one
+// can still reach the target: a finite chain then cannot avoid it.
+// Otherwise it is solved by Gauss-Seidel on p_i = Σ_j P_ij·p_j with p = 1
+// on the target.
 func (g *Graph) AbsorptionProbability(pred san.Predicate, tol float64, maxIter int) (float64, error) {
 	if tol <= 0 {
 		tol = 1e-12
@@ -167,6 +174,13 @@ func (g *Graph) AbsorptionProbability(pred san.Predicate, tol float64, maxIter i
 		}
 	}
 	if target[g.Initial] {
+		return 1, nil
+	}
+	reach := g.canReach(target)
+	if !reach[g.Initial] {
+		return 0, nil
+	}
+	if !g.reachableCanMiss(target, reach) {
 		return 1, nil
 	}
 	p := make([]float64, n)
@@ -195,5 +209,5 @@ func (g *Graph) AbsorptionProbability(pred san.Predicate, tol float64, maxIter i
 			return p[g.Initial], nil
 		}
 	}
-	return 0, fmt.Errorf("ctmc: absorption-probability solve did not converge in %d sweeps", maxIter)
+	return 0, fmt.Errorf("%w: absorption probability after %d sweeps", ErrNotConverged, maxIter)
 }

@@ -151,6 +151,41 @@ func TestAbsorptionProbabilityCertainEvent(t *testing.T) {
 	}
 }
 
+// TestCertainAbsorptionOnStiffChain pins the exact answer on a chain whose
+// Gauss-Seidel sweeps barely move: the catastrophe is reached only through
+// a state that returns to the start a billion times faster, so the
+// iterates approach 1 by about 1e-9 per sweep, far beyond a sweep limit of
+// 1000.
+func TestCertainAbsorptionOnStiffChain(t *testing.T) {
+	b := san.NewBuilder("stiff")
+	up := b.Place("up", 0)
+	ko := b.Place("ko", 0)
+	alive := func(want int) san.Predicate {
+		return func(m *san.Marking) bool { return m.Tokens(ko) == 0 && m.Tokens(up) == want }
+	}
+	b.Timed(san.TimedActivity{Name: "rise", Enabled: alive(0), Rate: san.ConstRate(1), Input: san.Produce(up, 1)})
+	b.Timed(san.TimedActivity{Name: "fall", Enabled: alive(1), Rate: san.ConstRate(1e9), Input: san.Consume(up, 1)})
+	b.Timed(san.TimedActivity{Name: "fail", Enabled: alive(1), Rate: san.ConstRate(1), Input: san.Produce(ko, 1)})
+	g, err := Explore(b.MustBuild(), ExploreOptions{Absorb: san.HasTokens(ko, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sweeps = 1000
+	p, err := g.AbsorptionProbability(san.HasTokens(ko, 1), 0, sweeps)
+	if err != nil || p != 1 {
+		t.Fatalf("absorption probability %v, %v; want exactly 1", p, err)
+	}
+	// The mean time (1e9+2 hours) has no such shortcut: its failure to
+	// converge is reported as such.
+	if _, err := g.MeanTimeTo(san.HasTokens(ko, 1), 0, sweeps); !errors.Is(err, ErrNotConverged) {
+		t.Fatalf("mean time error %v, want ErrNotConverged", err)
+	}
+	// An unreachable target is exactly 0.
+	if p, err := g.AbsorptionProbability(san.HasTokens(up, 2), 0, sweeps); err != nil || p != 0 {
+		t.Fatalf("unreachable absorption probability %v, %v; want exactly 0", p, err)
+	}
+}
+
 func TestMeanTimeToAgreesWithTransientTail(t *testing.T) {
 	// For a certain absorbing event, MTTA = ∫ (1 - F(t)) dt; approximate
 	// the integral from the uniformization CDF and compare.

@@ -355,13 +355,13 @@ func (p *runnerPool) takeCauses() map[string]uint64 {
 // goroutines; the sink contract requires concurrency safety.
 func recordTrajectory(job *Job, res sim.Result, cause string) {
 	t := job.Telemetry
-	t.Count(telemetry.MetricTrajectories, "")
+	t.Add(telemetry.MetricTrajectories, "", 1)
 	t.Observe(telemetry.MetricTrajectorySteps, "", float64(res.Steps))
 	if !res.Stopped {
 		return
 	}
 	t.Observe(telemetry.MetricTimeToKO, "", res.StopTime)
 	if job.Cause != nil {
-		t.Count(telemetry.MetricCatastrophes, cause) //ahsvet:ignore locklabel Cause classifies into the model's fixed catastrophe-cause set
+		t.Add(telemetry.MetricCatastrophes, cause, 1) //ahsvet:ignore locklabel Cause classifies into the model's fixed catastrophe-cause set
 	}
 }

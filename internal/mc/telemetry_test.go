@@ -20,9 +20,9 @@ func newMemSink() *memSink {
 	return &memSink{counts: map[string]uint64{}, observed: map[string]int{}}
 }
 
-func (s *memSink) Count(metric, label string) {
+func (s *memSink) Add(metric, label string, n uint64) {
 	s.mu.Lock()
-	s.counts[metric+"\xff"+label]++
+	s.counts[metric+"\xff"+label] += n
 	s.mu.Unlock()
 }
 

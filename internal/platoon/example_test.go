@@ -16,7 +16,6 @@ func ExampleParticipants() {
 			{1, 2, 3, 4, 5}, // platoon 1, vehicle 4 will be the faulty one
 			{6, 7},          // neighbouring platoon
 		},
-		Operational: func(int) bool { return true },
 	}
 	for _, strategy := range []platoon.Strategy{platoon.DD, platoon.CD} {
 		parts, err := platoon.Participants(view, 4, platoon.TIEE, strategy)

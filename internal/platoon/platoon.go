@@ -396,16 +396,13 @@ func ParseStrategy(code string) (Strategy, error) {
 
 // View is a read-only snapshot of the highway used to compute maneuver
 // participants: the ordered vehicle ids of each lane's platoon (index 0 is
-// the leader position) and each vehicle's health. The paper's case study
-// has two lanes; the model extends to more, with lane 0 adjacent to the
-// highway exits (the paper's "larger number of platoons" future work).
+// the leader position). The paper's case study has two lanes; the model
+// extends to more, with lane 0 adjacent to the highway exits (the paper's
+// "larger number of platoons" future work).
 type View struct {
 	// Platoons holds each lane's member ids in front-to-back order,
 	// ordered by lane (lane 0 borders the exits).
 	Platoons [][]int
-	// Operational reports whether a vehicle currently has no active
-	// failure mode. It must accept any id present in Platoons.
-	Operational func(id int) bool
 }
 
 // Locate returns the platoon index and position of a vehicle, or ok=false.

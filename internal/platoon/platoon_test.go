@@ -204,16 +204,9 @@ func TestStrategyCodes(t *testing.T) {
 	}
 }
 
-// testView builds a View over two platoons where the given ids are degraded.
-func testView(p1, p2 []int, degraded ...int) View {
-	bad := make(map[int]bool, len(degraded))
-	for _, id := range degraded {
-		bad[id] = true
-	}
-	return View{
-		Platoons:    [][]int{p1, p2},
-		Operational: func(id int) bool { return !bad[id] },
-	}
+// testView builds a View over two platoons.
+func testView(p1, p2 []int) View {
+	return View{Platoons: [][]int{p1, p2}}
 }
 
 func sortedParticipants(t *testing.T, v View, vehicle int, m Maneuver, s Strategy) []int {

@@ -27,9 +27,6 @@ func NewSource(seed uint64) *Source {
 	return &Source{seed: seed}
 }
 
-// Seed returns the root seed of the source.
-func (s *Source) Seed() uint64 { return s.seed }
-
 // Stream returns the stream with the given index. Streams with distinct
 // indices are statistically independent: the state is derived by running
 // splitmix64 from a combination of the root seed and the index.
@@ -102,17 +99,6 @@ func (r *Stream) Exp(rate float64) float64 {
 	return -math.Log(r.Float64Open()) / rate
 }
 
-// Bernoulli returns true with probability p (clamped to [0, 1]).
-func (r *Stream) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Stream) Intn(n int) int {
 	if n <= 0 {
@@ -182,10 +168,4 @@ func (r *Stream) Choice(weights []float64) int {
 		}
 	}
 	panic("rng: unreachable")
-}
-
-// Clone returns an independent copy of the stream at its current state.
-func (r *Stream) Clone() *Stream {
-	cp := *r
-	return &cp
 }

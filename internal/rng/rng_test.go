@@ -94,34 +94,6 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 	NewStream(1).Exp(0)
 }
 
-func TestBernoulliEdges(t *testing.T) {
-	r := NewStream(5)
-	for i := 0; i < 100; i++ {
-		if r.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !r.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
-	}
-}
-
-func TestBernoulliFrequency(t *testing.T) {
-	r := NewStream(6)
-	const n = 100000
-	const p = 0.3
-	hits := 0
-	for i := 0; i < n; i++ {
-		if r.Bernoulli(p) {
-			hits++
-		}
-	}
-	freq := float64(hits) / n
-	if math.Abs(freq-p) > 0.01 {
-		t.Fatalf("Bernoulli(%v) frequency %v", p, freq)
-	}
-}
-
 func TestIntnBoundsProperty(t *testing.T) {
 	r := NewStream(7)
 	f := func(n uint8) bool {
@@ -204,20 +176,6 @@ func TestChoicePanicsOnZeroTotal(t *testing.T) {
 	NewStream(1).Choice([]float64{0, 0})
 }
 
-func TestCloneDivergesFromOriginalOnlyByUse(t *testing.T) {
-	a := NewStream(12)
-	a.Uint64()
-	b := a.Clone()
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("clone did not reproduce the original sequence")
-	}
-	a.Uint64()
-	// b is now one draw behind; advancing b once must resynchronize.
-	if a.Clone().Uint64() == b.Uint64() {
-		t.Fatal("clone unexpectedly synchronized")
-	}
-}
-
 func TestZeroStateAvoided(t *testing.T) {
 	// Probe many (seed,index) pairs; none may yield an all-zero state,
 	// which would make the generator emit a constant.
@@ -264,11 +222,5 @@ func BenchmarkExp(b *testing.B) {
 	r := NewStream(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Exp(2.5)
-	}
-}
-
-func TestSourceSeedAccessor(t *testing.T) {
-	if NewSource(77).Seed() != 77 {
-		t.Fatal("Seed accessor mismatch")
 	}
 }

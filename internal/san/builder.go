@@ -119,6 +119,9 @@ func (b *Builder) Timed(a TimedActivity) {
 			return
 		}
 	}
+	if !b.checkCases(a.Name, a.Cases) {
+		return
+	}
 	b.root.model.timed = append(b.root.model.timed, a)
 	b.root.model.activities[a.Name] = true
 }
@@ -133,8 +136,23 @@ func (b *Builder) Instant(a InstantActivity) {
 		b.fail("san: instantaneous activity %q has no enabling predicate", a.Name)
 		return
 	}
+	if !b.checkCases(a.Name, a.Cases) {
+		return
+	}
 	b.root.model.instants = append(b.root.model.instants, a)
 	b.root.model.activities[a.Name] = true
+}
+
+// checkCases reports whether every Complement case follows another case and
+// sets no Weight of its own, recording a build error otherwise.
+func (b *Builder) checkCases(name string, cases []Case) bool {
+	for i, c := range cases {
+		if c.Complement && (i == 0 || c.Weight != nil) {
+			b.fail("san: activity %q: complement case %d needs a case before it and no weight of its own", name, i)
+			return false
+		}
+	}
+	return true
 }
 
 // Rep composes n replicas of a submodel, mirroring the Möbius Rep operator:

@@ -59,6 +59,11 @@ type WeightFn func(m *Marking) float64
 type Case struct {
 	// Weight is the unnormalised selection weight; nil means constant 1.
 	Weight WeightFn
+	// Complement, when set, gives the case the weight 1 − w, where w is the
+	// weight of the case before it, which must then be a probability.
+	// Weight must be nil. A success/failure pair thereby evaluates its
+	// success probability once per completion.
+	Complement bool
 	// Output applies the case's marking change; nil means no change.
 	Output Effect
 }
@@ -202,10 +207,12 @@ func (m *Model) InitialMarking() *Marking {
 // write performed through a Marking's accessor methods. It is the
 // introspection hook behind static model analysis: internal/sanlint uses it
 // to discover which places each predicate, rate, weight and effect actually
-// touches, without parsing any code. sim.Runner attaches one only while it
-// evaluates timed activities, to learn which places each of them reads;
-// otherwise the observer is nil, which costs one predictable branch per
-// access.
+// touches, without parsing any code. sim.Runner keeps one attached for the
+// whole of a run: it learns from the writes which places changed, and from
+// the reads made while it evaluates a timed activity which places that
+// activity's evaluation depends on. It detaches the observer before handing
+// the marking to its caller. Without an observer each access costs one
+// predictable branch.
 //
 // Observer callbacks must not mutate the marking.
 type AccessObserver interface {
@@ -262,7 +269,8 @@ func (mk *Marking) CopyFrom(src *Marking) {
 // CopyChanged makes mk equal to src, like CopyFrom, and appends the simple
 // and extended places whose contents differed to places and exts. It reads
 // both markings directly, without observer notifications; the simulator
-// uses it to find the places a completion changed.
+// calls it once per trajectory, to find the places where a run's start
+// marking differs from where the previous run ended.
 func (mk *Marking) CopyChanged(src *Marking, places []PlaceID, exts []ExtPlaceID) ([]PlaceID, []ExtPlaceID) {
 	if mk.model != src.model {
 		panic("san: CopyChanged across models")
@@ -366,14 +374,6 @@ func (mk *Marking) ExtAt(p ExtPlaceID, i int) int {
 	return mk.ext[p][i]
 }
 
-// ExtSet sets element i of an extended place's array.
-func (mk *Marking) ExtSet(p ExtPlaceID, i, v int) {
-	if mk.obs != nil {
-		mk.obs.WriteExtPlace(p)
-	}
-	mk.ext[p][i] = v
-}
-
 // ExtRemoveAt removes element i, preserving the order of the remainder
 // (platoon positions are ordered, so removal must not reshuffle).
 func (mk *Marking) ExtRemoveAt(p ExtPlaceID, i int) {
@@ -395,26 +395,6 @@ func (mk *Marking) ExtIndexOf(p ExtPlaceID, v int) int {
 		}
 	}
 	return -1
-}
-
-// ExtClear empties an extended place.
-func (mk *Marking) ExtClear(p ExtPlaceID) {
-	if mk.obs != nil {
-		mk.obs.WriteExtPlace(p)
-	}
-	mk.ext[p] = mk.ext[p][:0]
-}
-
-// ExtInsertAt inserts v at position i (0 <= i <= len).
-func (mk *Marking) ExtInsertAt(p ExtPlaceID, i, v int) {
-	if mk.obs != nil {
-		mk.obs.WriteExtPlace(p)
-	}
-	arr := mk.ext[p]
-	arr = append(arr, 0)
-	copy(arr[i+1:], arr[i:])
-	arr[i] = v
-	mk.ext[p] = arr
 }
 
 // Summary returns a compact human-readable description of the marking:
@@ -528,17 +508,10 @@ func (e *CaseWeightError) Error() string {
 		who, e.Weight, e.Marking)
 }
 
-// CaseWeights fills weights with each case's weight in mk. A nil or empty
-// case list yields the single implicit unit case. It returns a
-// *CaseWeightError if any weight is negative or NaN, or the total weight is
-// not positive. Callers that know the activity should prefer CaseWeightsFor,
-// which produces a named diagnostic.
-func CaseWeights(cases []Case, mk *Marking, weights []float64) ([]float64, error) {
-	return CaseWeightsFor("", cases, mk, weights)
-}
-
-// CaseWeightsFor is CaseWeights with the owning activity's name attached to
-// any error (see CaseWeightError).
+// CaseWeightsFor fills weights with each case's weight in mk. A nil or
+// empty case list yields the single implicit unit case. It returns a
+// *CaseWeightError naming activity if any weight is negative or NaN, or the
+// total weight is not positive.
 func CaseWeightsFor(activity string, cases []Case, mk *Marking, weights []float64) ([]float64, error) {
 	if len(cases) == 0 {
 		return append(weights[:0], 1), nil
@@ -547,7 +520,10 @@ func CaseWeightsFor(activity string, cases []Case, mk *Marking, weights []float6
 	total := 0.0
 	for i, c := range cases {
 		w := 1.0
-		if c.Weight != nil {
+		switch {
+		case c.Complement:
+			w = 1 - weights[i-1]
+		case c.Weight != nil:
 			w = c.Weight(mk)
 		}
 		if w < 0 || math.IsNaN(w) {

@@ -265,17 +265,11 @@ func TestExtendedPlaceOperations(t *testing.T) {
 			t.Fatalf("after ops, ext = %v, want %v", mk.Ext(e), want)
 		}
 	}
-	mk.ExtInsertAt(e, 1, 25)
-	if mk.ExtAt(e, 1) != 25 || mk.ExtLen(e) != 4 {
-		t.Fatalf("after insert, ext = %v", mk.Ext(e))
+	for mk.ExtLen(e) > 0 {
+		mk.ExtRemoveAt(e, mk.ExtLen(e)-1)
 	}
-	mk.ExtSet(e, 0, 21)
-	if mk.ExtAt(e, 0) != 21 {
-		t.Fatal("ExtSet failed")
-	}
-	mk.ExtClear(e)
 	if mk.ExtLen(e) != 0 {
-		t.Fatal("ExtClear failed")
+		t.Fatal("removing every element left the place non-empty")
 	}
 	// Initial marking must be unaffected by mutations (deep copy).
 	if fresh := m.InitialMarking(); fresh.ExtLen(e) != 3 {
@@ -290,7 +284,8 @@ func TestExtCloneDeepCopies(t *testing.T) {
 	m := b.MustBuild()
 	a := m.InitialMarking()
 	cp := a.Clone()
-	a.ExtSet(e, 0, 99)
+	a.ExtRemoveAt(e, 0)
+	a.ExtAppend(e, 99)
 	if cp.ExtAt(e, 0) != 1 {
 		t.Fatal("Clone aliased extended place storage")
 	}
@@ -338,7 +333,7 @@ func TestCaseWeights(t *testing.T) {
 		{}, // nil weight = 1
 		{Weight: func(mm *Marking) float64 { return float64(mm.Tokens(q)) }},
 	}
-	ws, err := CaseWeights(cases, mk, nil)
+	ws, err := CaseWeightsFor("", cases, mk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +341,7 @@ func TestCaseWeights(t *testing.T) {
 		t.Fatalf("weights %v", ws)
 	}
 	// Implicit unit case for empty case lists.
-	ws, err = CaseWeights(nil, mk, ws)
+	ws, err = CaseWeightsFor("", nil, mk, ws)
 	if err != nil || len(ws) != 1 || ws[0] != 1 {
 		t.Fatalf("implicit case weights %v, %v", ws, err)
 	}
@@ -355,11 +350,39 @@ func TestCaseWeights(t *testing.T) {
 func TestCaseWeightsErrors(t *testing.T) {
 	m, _ := buildMM1K(5, 1, 1)
 	mk := m.InitialMarking()
-	if _, err := CaseWeights([]Case{{Weight: ConstWeight(-1)}}, mk, nil); err == nil {
+	if _, err := CaseWeightsFor("", []Case{{Weight: ConstWeight(-1)}}, mk, nil); err == nil {
 		t.Fatal("expected negative-weight error")
 	}
-	if _, err := CaseWeights([]Case{{Weight: ConstWeight(0)}}, mk, nil); err == nil {
+	if _, err := CaseWeightsFor("", []Case{{Weight: ConstWeight(0)}}, mk, nil); err == nil {
 		t.Fatal("expected zero-total error")
+	}
+}
+
+func TestComplementCaseWeighsOneMinusThePrevious(t *testing.T) {
+	m, q := buildMM1K(5, 1, 1)
+	mk := m.InitialMarking()
+	calls := 0
+	p := func(mm *Marking) float64 {
+		calls++
+		return 0.3 + 0.1*float64(mm.Tokens(q))
+	}
+	ws, err := CaseWeightsFor("", []Case{{Weight: p}, {Complement: true}}, mk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || ws[0] != 0.3 || ws[1] != 1-0.3 { //ahsvet:ignore floateq the complement must be 1 − p bit for bit
+		t.Fatalf("weights %v after %d calls, want [0.3 %v] after 1", ws, calls, 1-0.3)
+	}
+
+	for name, cases := range map[string][]Case{
+		"first case":  {{Complement: true}, {}},
+		"with weight": {{}, {Complement: true, Weight: ConstWeight(1)}},
+	} {
+		b := NewBuilder("complement")
+		b.Timed(TimedActivity{Name: "t", Rate: ConstRate(1), Cases: cases})
+		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "complement case") {
+			t.Errorf("%s: build error %v, want a complement-case error", name, err)
+		}
 	}
 }
 
@@ -423,14 +446,8 @@ func TestExtInsertRemovePreservesOrderProperty(t *testing.T) {
 		var ref []int
 		for n, op := range ops {
 			if len(ref) == 0 || op%2 == 0 {
-				pos := 0
-				if len(ref) > 0 {
-					pos = int(op) % (len(ref) + 1)
-				}
-				mk.ExtInsertAt(e, pos, n)
-				ref = append(ref, 0)
-				copy(ref[pos+1:], ref[pos:])
-				ref[pos] = n
+				mk.ExtAppend(e, n)
+				ref = append(ref, n)
 			} else {
 				pos := int(op) % len(ref)
 				mk.ExtRemoveAt(e, pos)
@@ -517,11 +534,13 @@ func TestMarkingEqualDiffersOnExt(t *testing.T) {
 	if !x.Equal(y) {
 		t.Fatal("identical markings must compare equal")
 	}
-	y.ExtSet(e, 1, 99)
+	y.ExtRemoveAt(e, 1)
+	y.ExtAppend(e, 99)
 	if x.Equal(y) {
 		t.Fatal("ext difference not detected")
 	}
-	y.ExtSet(e, 1, 2)
+	y.ExtRemoveAt(e, 1)
+	y.ExtAppend(e, 2)
 	y.ExtAppend(e, 3)
 	if x.Equal(y) {
 		t.Fatal("ext length difference not detected")
@@ -545,8 +564,8 @@ func TestMarkingCopyChangedListsDifferingPlaces(t *testing.T) {
 	cur.Add(p, 1)
 	cur.SetTokens(r, 3)
 	cur.ExtAppend(e, 3) // a length change
-	cur.ExtSet(f, 0, 8)
-	cur.ExtSet(f, 0, 7) // changed and changed back: equal again
+	cur.ExtRemoveAt(f, 0)
+	cur.ExtAppend(f, 7) // changed and changed back: equal again
 	places, exts := last.CopyChanged(cur, nil, nil)
 	if len(places) != 2 || places[0] != p || places[1] != r {
 		t.Fatalf("changed places %v, want [%d %d]", places, p, r)

@@ -158,7 +158,7 @@ func (g *GeneralRunner) Run(stream *rng.Stream, probes ...*Probe) (Result, error
 		san.FireTimed(act, caseIdx, g.marking)
 		res.Steps++
 		if g.opts.Sink != nil {
-			g.opts.Sink.Count(telemetry.MetricActivityFirings, act.Name) //ahsvet:ignore locklabel activity names are fixed at model build time
+			g.opts.Sink.Add(telemetry.MetricActivityFirings, act.Name, 1) //ahsvet:ignore locklabel activity names are fixed at model build time
 		}
 		if g.opts.Observer != nil {
 			g.opts.Observer.OnEvent(clock.Now(), act.Name, g.marking)

@@ -19,19 +19,24 @@
 // would need.
 //
 // The scan is incremental. The Runner caches every timed activity's rate
-// and biased rate (0 while disabled) and learns, through a
-// san.AccessObserver attached only while it evaluates activities, which
-// places each activity's predicate, rate and bias factor have read. After
-// a completion and its instantaneous closure it compares the marking with
-// the one it last evaluated in and re-evaluates, in ascending index order,
-// only the activities that read a changed place. Predicates, rates and
-// factors are deterministic functions of the marking read through its
-// accessors (see san.Predicate), so an activity none of whose read places
-// changed would return what it returned before. The cached rates are
-// summed in activity-index order, which keeps every trajectory and
-// likelihood ratio bit-identical to a full rescan of all activities in
-// every marking — the dependency graph of Gibson & Bruck's next-reaction
-// method, without its clocks.
+// and biased rate (0 while disabled) and keeps a san.AccessObserver on its
+// marking for the whole run. The observer queues every place a completion
+// or its instantaneous closure writes, and while the Runner evaluates an
+// activity it records the places that activity's predicate, rate and bias
+// factor read. Before each draw the Runner re-evaluates, in ascending index
+// order, only the activities whose latest evaluation read a written place,
+// and each evaluation replaces the activity's read set. Predicates, rates
+// and factors are deterministic functions of the marking read through its
+// accessors (see san.Predicate): an evaluation whose read places all hold
+// their old values takes the same path and returns the same value, and a
+// first read of a new place can only follow a change to a place already
+// read, which triggers the evaluation that records it. Each run starts from
+// the previous run's cache and queues the places where its start marking
+// differs from that run's end. The cached rates are summed in
+// activity-index order, which keeps every trajectory and likelihood ratio
+// bit-identical to a full rescan of all activities in every marking — the
+// dependency graph of Gibson & Bruck's next-reaction method, without its
+// clocks.
 package sim
 
 import (
@@ -53,8 +58,8 @@ var ErrLivelock = errors.New("sim: instantaneous activity livelock")
 // ErrStepLimit is returned when a trajectory exceeds Options.MaxSteps.
 var ErrStepLimit = errors.New("sim: step limit exceeded")
 
-// Observer receives trajectory events. Implementations must not retain the
-// marking across calls.
+// Observer receives trajectory events. Implementations must not modify the
+// marking or retain it across calls.
 type Observer interface {
 	// OnEvent is called after each activity completion with the simulation
 	// time, the completed activity's name and the resulting marking.
@@ -133,25 +138,6 @@ func (b *Bias) SetFn(index int, fn FactorFn) error {
 	return nil
 }
 
-// SetFnByName installs a marking-dependent multiplier for the named timed
-// activity.
-func (b *Bias) SetFnByName(m *san.Model, name string, fn FactorFn) error {
-	idx := m.TimedIndex(name)
-	if idx < 0 {
-		return fmt.Errorf("sim: no timed activity %q", name)
-	}
-	return b.SetFn(idx, fn)
-}
-
-// Factor returns the constant multiplier for a timed activity index
-// (1 by default or when the activity uses an adaptive factor).
-func (b *Bias) Factor(index int) float64 {
-	if b == nil || uint(index) >= uint(len(b.factors)) {
-		return 1
-	}
-	return b.factors[index]
-}
-
 // FactorIn returns the multiplier for a timed activity in a marking.
 func (b *Bias) FactorIn(index int, mk *san.Marking) (float64, error) {
 	if b == nil || uint(index) >= uint(len(b.factors)) {
@@ -215,10 +201,11 @@ type Options struct {
 	Bias *Bias
 	// Observer, when non-nil, receives every completion event.
 	Observer Observer
-	// Sink, when non-nil, counts every timed-activity completion under
-	// telemetry.MetricActivityFirings. Unlike Observer it sees only the
-	// activity name, which keeps the disabled path to a single nil check
-	// and the enabled path allocation-free.
+	// Sink, when non-nil, receives each timed activity's completion count
+	// under telemetry.MetricActivityFirings once per trajectory, when the
+	// trajectory ends (on error paths too). Unlike Observer it sees only
+	// the activity name, which keeps the per-step cost to one increment and
+	// the enabled path allocation-free.
 	Sink telemetry.Sink
 }
 
@@ -314,50 +301,94 @@ type Runner struct {
 	initial *san.Marking
 
 	// rates[i] and biased[i] are timed activity i's rate and biased rate
-	// in last, or 0 while it is disabled there. cumRates[i] and
-	// cumBiased[i] are their running sums over the activities below i,
+	// as of its latest evaluation, or 0 while it is disabled. cumRates[i]
+	// and cumBiased[i] are their running sums over the activities below i,
 	// valid up to index stale.
 	rates, biased       []float64
 	cumRates, cumBiased []float64
 	stale               int
-	// last is the marking rates and biased were last brought up to date in.
-	last *san.Marking
 	// dirty is the bitset of activities to re-evaluate before the next
 	// draw, over activity indices.
 	dirty []uint64
-	reads readSet
-	// changedPlaces and changedExts are refresh's reusable buffers.
+	track tracker
+	// changedPlaces and changedExts are RunFrom's buffers for the places
+	// where its start marking differs from the previous run's end.
 	changedPlaces []san.PlaceID
 	changedExts   []san.ExtPlaceID
-
-	// baseRates and baseBiased are the runner's first complete
-	// evaluation, made in baseMarking (nil until then); every trajectory
-	// starts from it.
-	baseRates, baseBiased []float64
-	baseMarking           *san.Marking
+	// firings counts each timed activity's completions in the current
+	// trajectory; it is nil without Options.Sink.
+	firings []uint64
 }
 
-// readSet is the san.AccessObserver a Runner attaches to its marking while
-// it evaluates timed activities. It records, per place, the bitset of
-// activities that have ever read it; the sets only grow, so they stay a
-// sound over-approximation of what each activity's next evaluation reads.
-type readSet struct {
-	// readers holds one bitset of words uint64s per place: simple places
-	// first, then extended places from slot exts.
+// tracker is the san.AccessObserver a Runner keeps attached to its marking
+// during a run. It numbers places as slots, simple places first and then
+// extended places from slot exts. Every write queues the written slot for
+// the next refresh; a read is recorded only while an activity is being
+// evaluated, against that activity.
+type tracker struct {
+	// readers holds one bitset of words uint64s per slot: the activities
+	// whose latest evaluation read the slot.
 	readers []uint64
 	words   int
 	exts    int
-	// word and bit locate the activity being evaluated.
+	// reads[i] lists the slots activity i's latest evaluation read, each
+	// once. The lists start with readRoom slots each, carved from one
+	// array; append moves a list that outgrows it to its own.
+	reads [][]int32
+	// cur, word and bit locate the activity being evaluated, and list
+	// collects its reads until end stores it as reads[cur]; bit is 0
+	// outside evaluations.
+	cur  int
 	word int
 	bit  uint64
+	list []int32
+	// pending lists the slots written since the last refresh, each once;
+	// queued marks them.
+	pending []int32
+	queued  []bool
 }
 
-func (s *readSet) ReadPlace(p san.PlaceID) { s.readers[int(p)*s.words+s.word] |= s.bit }
-func (s *readSet) ReadExtPlace(p san.ExtPlaceID) {
-	s.readers[(s.exts+int(p))*s.words+s.word] |= s.bit
+// readRoom is the initial room of a read list. Most timed activities of the
+// paper's models read 2 or 3 places per evaluation; the lane-changing and
+// leaving ones read up to 12, so their lists grow once per Runner.
+const readRoom = 8
+
+func (t *tracker) ReadPlace(p san.PlaceID)        { t.read(int(p)) }
+func (t *tracker) ReadExtPlace(p san.ExtPlaceID)  { t.read(t.exts + int(p)) }
+func (t *tracker) WritePlace(p san.PlaceID)       { t.write(int(p)) }
+func (t *tracker) WriteExtPlace(p san.ExtPlaceID) { t.write(t.exts + int(p)) }
+
+func (t *tracker) read(s int) {
+	if t.bit == 0 {
+		return
+	}
+	if w := &t.readers[s*t.words+t.word]; *w&t.bit == 0 {
+		*w |= t.bit
+		t.list = append(t.list, int32(s))
+	}
 }
-func (s *readSet) WritePlace(san.PlaceID)       {}
-func (s *readSet) WriteExtPlace(san.ExtPlaceID) {}
+
+func (t *tracker) write(s int) {
+	if !t.queued[s] {
+		t.queued[s] = true
+		t.pending = append(t.pending, int32(s))
+	}
+}
+
+// begin forgets what activity i's latest evaluation read and records its
+// next one, until end.
+func (t *tracker) begin(i int) {
+	t.cur, t.word, t.bit = i, i>>6, 1<<(i&63)
+	for _, s := range t.reads[i] {
+		t.readers[int(s)*t.words+t.word] &^= t.bit
+	}
+	t.list = t.reads[i][:0]
+}
+
+func (t *tracker) end() {
+	t.reads[t.cur] = t.list
+	t.bit = 0
+}
 
 // NewRunner validates options and returns a Runner for the model.
 func NewRunner(model *san.Model, opts Options) (*Runner, error) {
@@ -383,8 +414,7 @@ func NewRunner(model *san.Model, opts Options) (*Runner, error) {
 		instants: newInstantEngine(model, opts.MaxInstantFirings),
 	}
 	r.marking = r.initial.Clone()
-	r.last = r.initial.Clone()
-	f := make([]float64, 6*n+2) // one allocation for the six arrays
+	f := make([]float64, 4*n+2) // one allocation for the four arrays
 	take := func(k int) []float64 {
 		s := f[:k:k]
 		f = f[k:]
@@ -392,58 +422,54 @@ func NewRunner(model *san.Model, opts Options) (*Runner, error) {
 	}
 	r.rates, r.biased = take(n), take(n)
 	r.cumRates, r.cumBiased = take(n+1), take(n+1)
-	r.baseRates, r.baseBiased = take(n), take(n)
 	words := (n + 63) / 64
 	slots := model.NumPlaces() + model.NumExtPlaces()
 	sets := make([]uint64, (slots+1)*words)
 	r.dirty = sets[:words:words]
-	r.reads = readSet{readers: sets[words:], words: words, exts: model.NumPlaces()}
+	room := min(slots, readRoom)
+	lists := make([]int32, n*room+slots)
+	r.track = tracker{
+		readers: sets[words:],
+		words:   words,
+		exts:    model.NumPlaces(),
+		reads:   make([][]int32, n),
+		pending: lists[n*room:][:0],
+		queued:  make([]bool, slots),
+	}
+	for i := range r.track.reads {
+		r.track.reads[i] = lists[i*room : i*room : (i+1)*room]
+	}
+	r.dirtyAll()
+	if opts.Sink != nil {
+		r.firings = make([]uint64, n)
+	}
 	return r, nil
 }
 
-// Model returns the model being executed.
-func (r *Runner) Model() *san.Model { return r.model }
-
-// restore resets the cached evaluation to the runner's first complete one,
-// or marks every activity for evaluation while it has none.
-func (r *Runner) restore() {
-	r.stale = 0
-	if r.baseMarking == nil {
-		for i := range r.rates {
-			r.dirty[i>>6] |= 1 << (i & 63)
-		}
-		return
+// dirtyAll marks every activity for re-evaluation.
+func (r *Runner) dirtyAll() {
+	for i := range r.rates {
+		r.dirty[i>>6] |= 1 << (i & 63)
 	}
-	copy(r.rates, r.baseRates)
-	copy(r.biased, r.baseBiased)
-	r.last.CopyFrom(r.baseMarking)
-	clear(r.dirty)
 }
 
 // refresh brings rates and biased up to date with the current marking and
 // returns their sums in activity-index order: the original and biased
-// total rates. It re-evaluates only the activities that read a place whose
-// value differs from last, and re-accumulates the running sums only from
-// the first activity whose rates changed: adding the same values in the
-// same order gives the same sums.
+// total rates. It re-evaluates only the activities whose latest evaluation
+// read a place written since, and re-accumulates the running sums only
+// from the first activity whose rates changed: adding the same values in
+// the same order gives the same sums.
 func (r *Runner) refresh() (total, biasedTotal float64, err error) {
-	r.changedPlaces, r.changedExts = r.last.CopyChanged(r.marking, r.changedPlaces[:0], r.changedExts[:0])
-	for _, p := range r.changedPlaces {
-		r.markReaders(int(p))
+	t := &r.track
+	for _, s := range t.pending {
+		t.queued[s] = false
+		r.markReaders(int(s))
 	}
-	for _, p := range r.changedExts {
-		r.markReaders(r.reads.exts + int(p))
-	}
-	r.marking.SetObserver(&r.reads)
-	err = r.evalDirty()
-	r.marking.SetObserver(nil)
-	if err != nil {
+	t.pending = t.pending[:0]
+	if err := r.evalDirty(); err != nil {
+		// The cache is part-updated; the next run evaluates afresh.
+		r.dirtyAll()
 		return 0, 0, err
-	}
-	if r.baseMarking == nil {
-		copy(r.baseRates, r.rates)
-		copy(r.baseBiased, r.biased)
-		r.baseMarking = r.last.Clone()
 	}
 	n := len(r.rates)
 	if i := r.stale; i < n {
@@ -490,10 +516,11 @@ func (r *Runner) draw(stream *rng.Stream, biasedTotal float64) int {
 	return i
 }
 
-// markReaders adds every activity that has read place slot s to dirty.
+// markReaders adds every activity whose latest evaluation read slot s to
+// dirty.
 func (r *Runner) markReaders(s int) {
-	w := r.reads.words
-	for i, set := range r.reads.readers[s*w : (s+1)*w] {
+	w := r.track.words
+	for i, set := range r.track.readers[s*w : (s+1)*w] {
 		r.dirty[i] |= set
 	}
 }
@@ -505,9 +532,11 @@ func (r *Runner) evalDirty() error {
 	for w, word := range r.dirty {
 		r.dirty[w] = 0
 		for ; word != 0; word &= word - 1 {
-			b := bits.TrailingZeros64(word)
-			r.reads.word, r.reads.bit = w, 1<<b
-			if err := r.eval(w<<6 | b); err != nil {
+			i := w<<6 | bits.TrailingZeros64(word)
+			r.track.begin(i)
+			err := r.eval(i)
+			r.track.end()
+			if err != nil {
 				return err
 			}
 		}
@@ -560,12 +589,6 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 	if t0 < 0 || t0 >= r.opts.MaxTime {
 		return res, fmt.Errorf("sim: start time %v outside [0, MaxTime)", t0)
 	}
-	r.restore()
-	if start == nil {
-		r.marking.CopyFrom(r.initial)
-	} else {
-		r.marking.CopyFrom(start)
-	}
 	for _, p := range probes {
 		if err := p.reset(); err != nil {
 			return res, err
@@ -574,6 +597,20 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 			return res, fmt.Errorf("sim: probe time %v beyond MaxTime %v", p.Times[n-1], r.opts.MaxTime)
 		}
 	}
+	if start == nil {
+		start = r.initial
+	}
+	// The cache holds the previous run's evaluations: queue every place
+	// where the start differs from where that run ended.
+	r.changedPlaces, r.changedExts = r.marking.CopyChanged(start, r.changedPlaces[:0], r.changedExts[:0])
+	for _, p := range r.changedPlaces {
+		r.track.write(int(p))
+	}
+	for _, p := range r.changedExts {
+		r.track.write(r.track.exts + int(p))
+	}
+	r.marking.SetObserver(&r.track)
+	defer r.endRun()
 	next := make([]int, len(probes)) // next unfilled time index per probe
 
 	t := t0
@@ -620,9 +657,15 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 		// Record probe points passed strictly before the next completion.
 		r.fillProbes(probes, next, tNext, false, t, logLR, total, biasedTotal)
 
-		// Choose the completing activity under the biased measure.
+		// Choose the completing activity under the biased measure. An
+		// unbiased draw's log(λ_k/λ'_k) is exactly 0, so only the
+		// survival term is added.
 		k := r.draw(stream, biasedTotal)
-		logLR += math.Log(r.rates[k]/r.biased[k]) + (biasedTotal-total)*tau
+		step := (biasedTotal - total) * tau
+		if math.Float64bits(r.rates[k]) != math.Float64bits(r.biased[k]) {
+			step += math.Log(r.rates[k] / r.biased[k])
+		}
+		logLR += step
 
 		t = tNext
 		act := r.model.Timed(k)
@@ -632,11 +675,13 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 		}
 		san.FireTimed(act, caseIdx, r.marking)
 		res.Steps++
-		if r.opts.Sink != nil {
-			r.opts.Sink.Count(telemetry.MetricActivityFirings, act.Name) //ahsvet:ignore locklabel activity names are fixed at model build time
+		if r.firings != nil {
+			r.firings[k]++
 		}
 		if r.opts.Observer != nil {
+			r.marking.SetObserver(nil)
 			r.opts.Observer.OnEvent(t, act.Name, r.marking)
+			r.marking.SetObserver(&r.track)
 		}
 		if err := r.instants.fireAll(r.marking, stream, &res); err != nil {
 			return res, err
@@ -647,6 +692,19 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 		}
 		if res.Steps >= r.opts.MaxSteps {
 			return res, fmt.Errorf("%w (%d steps at t=%v)", ErrStepLimit, res.Steps, t)
+		}
+	}
+}
+
+// endRun detaches the tracker, so the marking a caller sees carries no
+// observer of the runner's, and hands the trajectory's firing counts to the
+// sink.
+func (r *Runner) endRun() {
+	r.marking.SetObserver(nil)
+	for k, n := range r.firings {
+		if n != 0 {
+			r.opts.Sink.Add(telemetry.MetricActivityFirings, r.model.Timed(k).Name, n) //ahsvet:ignore locklabel activity names are fixed at model build time
+			r.firings[k] = 0
 		}
 	}
 }

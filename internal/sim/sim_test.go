@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ahs/internal/rng"
@@ -502,11 +503,13 @@ func TestBiasValidation(t *testing.T) {
 	if err := b.Set(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if b.IsNeutral() || b.Factor(0) != 3 || b.Factor(5) != 1 {
+	f0, err0 := b.FactorIn(0, nil)
+	f5, err5 := b.FactorIn(5, nil)
+	if b.IsNeutral() || f0 != 3 || f5 != 1 || err0 != nil || err5 != nil {
 		t.Fatal("bias factors wrong")
 	}
 	var nilBias *Bias
-	if nilBias.Factor(0) != 1 || !nilBias.IsNeutral() {
+	if f, err := nilBias.FactorIn(0, nil); f != 1 || err != nil || !nilBias.IsNeutral() {
 		t.Fatal("nil bias must be neutral")
 	}
 }
@@ -574,7 +577,7 @@ func TestAdaptiveBiasUnbiasedOnErlangTarget(t *testing.T) {
 	const rate, horizon = 0.2, 2.0
 	m, c := buildPoisson(rate)
 	bias := NewBias()
-	err := bias.SetFnByName(m, "arrive", func(mk *san.Marking) float64 {
+	err := bias.SetFn(m.TimedIndex("arrive"), func(mk *san.Marking) float64 {
 		if mk.Tokens(c) < 1 {
 			return 8
 		}
@@ -618,10 +621,10 @@ func TestAdaptiveBiasValidation(t *testing.T) {
 	if err := b.SetFn(0, nil); err == nil {
 		t.Fatal("expected error for nil factor function")
 	}
-	if err := b.SetFnByName(m, "nope", func(*san.Marking) float64 { return 2 }); err == nil {
+	if err := b.SetFn(m.TimedIndex("nope"), func(*san.Marking) float64 { return 2 }); err == nil {
 		t.Fatal("expected unknown-activity error")
 	}
-	if err := b.SetFnByName(m, "arrive", func(*san.Marking) float64 { return 0 }); err != nil {
+	if err := b.SetFn(m.TimedIndex("arrive"), func(*san.Marking) float64 { return 0 }); err != nil {
 		t.Fatal(err)
 	}
 	if b.IsNeutral() {
@@ -650,8 +653,8 @@ func TestSetFnReplacesConstantAndViceVersa(t *testing.T) {
 	if f, err := b.FactorIn(0, mk); err != nil || f != 5 {
 		t.Fatalf("FactorIn after SetFn = %v, %v", f, err)
 	}
-	if b.Factor(0) != 1 {
-		t.Fatal("constant Factor must be neutral once an adaptive factor is set")
+	if b.factors[0] != 1 {
+		t.Fatal("constant factor must be neutral once an adaptive factor is set")
 	}
 	if err := b.Set(0, 2); err != nil {
 		t.Fatal(err)
@@ -840,6 +843,147 @@ func TestCompletionReevaluatesOnlyItsComponent(t *testing.T) {
 		got := calls[start:end]
 		if len(got) != 2 || got[0] != log.fired[j] || got[1] != log.fired[j] {
 			t.Fatalf("after completion %d (component %d) re-evaluated components %v", j, log.fired[j], got)
+		}
+	}
+}
+
+// callLog is an Observer recording, at every completion, how many calls a
+// counter had seen.
+type callLog struct {
+	calls  *int
+	before []int
+}
+
+func (l *callLog) OnEvent(float64, string, *san.Marking) { l.before = append(l.before, *l.calls) }
+
+func TestReadSetIsTheLatestEvaluations(t *testing.T) {
+	// Four activities fire in a fixed order, one per phase: dropA, writeB,
+	// raiseA, writeB. The watched predicate reads B only while A > 0, so
+	// the first write to B, made while A = 0, must not re-evaluate it; the
+	// second, made after A returned to 1, must. Before B it reads enough
+	// other places to outgrow a read list's initial room.
+	var watchCalls int
+	b := san.NewBuilder("latest")
+	a := b.Place("A", 1)
+	var others []san.PlaceID
+	for k := 0; k < 2*readRoom; k++ {
+		others = append(others, b.Place(fmt.Sprintf("other%d", k), 0))
+	}
+	bp := b.Place("B", 0)
+	phase := b.Place("phase", 0)
+	b.Timed(san.TimedActivity{
+		Name: "watch",
+		Enabled: func(mk *san.Marking) bool {
+			watchCalls++
+			if mk.Tokens(a) == 0 {
+				return false
+			}
+			for _, p := range others {
+				mk.Tokens(p)
+			}
+			return mk.Tokens(bp) > 1000
+		},
+		Rate: san.ConstRate(1),
+	})
+	for k, set := range []san.Effect{
+		func(mk *san.Marking) { mk.SetTokens(a, 0) },
+		func(mk *san.Marking) { mk.Add(bp, 1) },
+		func(mk *san.Marking) { mk.SetTokens(a, 1) },
+		func(mk *san.Marking) { mk.Add(bp, 1) },
+	} {
+		b.Timed(san.TimedActivity{
+			Name:    fmt.Sprintf("step%d", k),
+			Enabled: func(mk *san.Marking) bool { return mk.Tokens(phase) == k },
+			Rate:    san.ConstRate(1),
+			Input:   san.Seq(set, san.Produce(phase, 1)),
+		})
+	}
+	m := b.MustBuild()
+	log := &callLog{calls: &watchCalls}
+	r, err := NewRunner(m, Options{MaxTime: 1e6, Observer: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watchCalls = 0
+	res, err := r.Run(rng.NewStream(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps != 4 || !res.Deadlocked {
+		t.Fatalf("run made %d steps (deadlocked %v), want the 4 phases", res.Steps, res.Deadlocked)
+	}
+	after := append(log.before[1:], watchCalls)
+	var got []int
+	for j := range after {
+		got = append(got, after[j]-log.before[j])
+	}
+	if want := []int{1, 0, 1, 1}; !slices.Equal(got, want) {
+		t.Fatalf("watch re-evaluations after dropA, writeB, raiseA, writeB = %v, want %v", got, want)
+	}
+}
+
+func TestRunAfterFailedEvaluationMatchesFreshRunner(t *testing.T) {
+	// "bad" turns invalid while poison is set and sits before "grow" in
+	// index order, so a run that starts poisoned fails before "grow" is
+	// re-evaluated. The next run starts from the same level: only poison
+	// differs from where the failed run stopped.
+	b := san.NewBuilder("fail")
+	poison := b.Place("poison", 0)
+	level := b.Place("level", 0)
+	b.Timed(san.TimedActivity{
+		Name: "bad",
+		Rate: func(mk *san.Marking) float64 {
+			if mk.Tokens(poison) == 1 {
+				return -1
+			}
+			return 1
+		},
+	})
+	b.Timed(san.TimedActivity{
+		Name:  "grow",
+		Rate:  func(mk *san.Marking) float64 { return 1 + float64(mk.Tokens(level)) },
+		Input: san.Produce(level, 1),
+	})
+	m := b.MustBuild()
+	start := func(p int) *san.Marking {
+		mk := m.InitialMarking()
+		mk.SetTokens(poison, p)
+		mk.SetTokens(level, 100)
+		return mk
+	}
+	trace := func(r *Runner, tr *Trace, stream uint64) (Result, []TraceEvent) {
+		tr.Reset()
+		res, err := r.RunFrom(start(0), 0, rng.NewStream(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, slices.Clone(tr.Events)
+	}
+	for stream := uint64(1); stream <= 5; stream++ {
+		used := &Trace{}
+		r, err := NewRunner(m, Options{MaxTime: 0.05, Observer: used})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(rng.NewStream(stream)); err != nil {
+			t.Fatal(err)
+		}
+		if n := r.Marking().Tokens(level); n == 100 {
+			t.Fatalf("stream %d: warm-up run ended at level %d, the restart level", stream, n)
+		}
+		if _, err := r.RunFrom(start(1), 0, rng.NewStream(stream)); err == nil {
+			t.Fatal("expected an invalid-rate error from the poisoned start")
+		}
+		gotRes, got := trace(r, used, stream)
+
+		fresh := &Trace{}
+		f, err := NewRunner(m, Options{MaxTime: 0.05, Observer: fresh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRes, want := trace(f, fresh, stream)
+		if gotRes != wantRes || !slices.Equal(got, want) {
+			t.Fatalf("stream %d: run after a failed evaluation = %+v %v, fresh runner %+v %v", stream, gotRes, got, wantRes, want)
 		}
 	}
 }

@@ -160,7 +160,7 @@ func TestCICoverageOnBernoulli(t *testing.T) {
 		r := src.Stream(uint64(e))
 		var w Welford
 		for i := 0; i < samples; i++ {
-			if r.Bernoulli(p) {
+			if r.Float64() < p {
 				w.Add(1)
 			} else {
 				w.Add(0)

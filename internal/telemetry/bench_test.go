@@ -25,15 +25,15 @@ func BenchmarkCounterInc(b *testing.B) {
 	}
 }
 
-// BenchmarkSimCollectorFiring measures the enabled per-event cost of the
-// engine's hottest telemetry call: an activity-firing count routed through
-// the collector's lock-free label cache.
+// BenchmarkSimCollectorFiring measures the enabled cost of one Add: an
+// activity-firing count, which the runner hands over once per activity and
+// trajectory, routed through the collector's lock-free label cache.
 func BenchmarkSimCollectorFiring(b *testing.B) {
 	reg := NewRegistry()
 	c := NewSimCollector(reg, "DD", nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Count(MetricActivityFirings, "one_vehicle[3].L2")
+		c.Add(MetricActivityFirings, "one_vehicle[3].L2", 1)
 	}
 }

@@ -19,7 +19,8 @@ var (
 // a registry because family registration is idempotent.
 //
 // Per-activity and per-maneuver counters are cached in lock-free maps, so
-// the enabled hot path does one sync.Map load and one atomic add per event.
+// the enabled hot path does one sync.Map load and one atomic add per Add
+// call.
 type SimCollector struct {
 	strategy string
 	collapse func(string) string
@@ -96,22 +97,22 @@ func (c *SimCollector) cached(cache *sync.Map, vec *CounterVec, label string) *C
 	return v.(*Counter)
 }
 
-// Count implements Sink.
-func (c *SimCollector) Count(metric, label string) {
+// Add implements Sink.
+func (c *SimCollector) Add(metric, label string, n uint64) {
 	switch metric {
 	case MetricActivityFirings:
 		if c.collapse != nil {
 			label = c.collapse(label)
 		}
-		c.cached(&c.firingCache, c.firings, label).Inc()
+		c.cached(&c.firingCache, c.firings, label).Add(n)
 	case MetricManeuverAttempts:
-		c.cached(&c.attemptCache, c.attempts, label).Inc()
+		c.cached(&c.attemptCache, c.attempts, label).Add(n)
 	case MetricManeuverFailures:
-		c.cached(&c.failureCache, c.failures, label).Inc()
+		c.cached(&c.failureCache, c.failures, label).Add(n)
 	case MetricCatastrophes:
-		c.cached(&c.causeCache, c.catastrophes, label).Inc()
+		c.cached(&c.causeCache, c.catastrophes, label).Add(n)
 	case MetricTrajectories:
-		c.trajectories.Inc()
+		c.trajectories.Add(n)
 	}
 	// Unknown metrics are ignored by contract, so engine and collector can
 	// version independently.

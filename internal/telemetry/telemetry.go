@@ -27,7 +27,8 @@ package telemetry
 const (
 	// MetricActivityFirings counts timed-activity completions; the label
 	// is the activity name (replica-scoped, e.g. "one_vehicle[3].L2" —
-	// collectors may collapse it).
+	// collectors may collapse it). sim.Runner reports it once per
+	// trajectory and activity.
 	MetricActivityFirings = "activity_firings"
 	// MetricManeuverAttempts counts recovery-maneuver attempts; the label
 	// is the recovery type (AS, CS, GS, TIE, TIE-E, TIE-N).
@@ -52,11 +53,13 @@ const (
 //
 // Instrumented code holds a Sink-typed field and guards each call with a
 // nil check; a nil sink therefore disables telemetry at the cost of one
-// branch. Unknown metric keys must be ignored, so engine and collector can
-// evolve independently.
+// branch. Counts may arrive batched: sim.Runner hands over each activity's
+// firings once per trajectory, while other callers add 1 per event. Unknown
+// metric keys must be ignored, so engine and collector can evolve
+// independently.
 type Sink interface {
-	// Count adds one occurrence of the (metric, label) pair.
-	Count(metric, label string)
+	// Add adds n occurrences of the (metric, label) pair.
+	Add(metric, label string, n uint64)
 	// Observe records a sampled value for the (metric, label) pair.
 	Observe(metric, label string, v float64)
 }

@@ -152,19 +152,19 @@ func TestSimCollectorRouting(t *testing.T) {
 		return s
 	}
 	c := NewSimCollector(reg, "DD", collapse)
-	c.Count(MetricActivityFirings, "x.a")
-	c.Count(MetricActivityFirings, "y.a")
-	c.Count(MetricManeuverAttempts, "AS")
-	c.Count(MetricManeuverFailures, "AS")
-	c.Count(MetricCatastrophes, "ST1")
-	c.Count(MetricTrajectories, "")
-	c.Count("metric_from_the_future", "whatever") // must be ignored
+	c.Add(MetricActivityFirings, "x.a", 1)
+	c.Add(MetricActivityFirings, "y.a", 3) // a per-trajectory batch
+	c.Add(MetricManeuverAttempts, "AS", 1)
+	c.Add(MetricManeuverFailures, "AS", 1)
+	c.Add(MetricCatastrophes, "ST1", 1)
+	c.Add(MetricTrajectories, "", 1)
+	c.Add("metric_from_the_future", "whatever", 1) // must be ignored
 	c.Observe(MetricTrajectorySteps, "", 12)
 	c.Observe(MetricTimeToKO, "", 3.5)
 	c.Observe("another_future_metric", "", 1)
 
-	if got := c.firings.With("DD", "a").Value(); got != 2 {
-		t.Fatalf("collapsed firings = %d, want 2", got)
+	if got := c.firings.With("DD", "a").Value(); got != 4 {
+		t.Fatalf("collapsed firings = %d, want 4", got)
 	}
 	if c.attempts.With("DD", "AS").Value() != 1 || c.failures.With("DD", "AS").Value() != 1 {
 		t.Fatal("maneuver attempt/failure not recorded")
@@ -182,7 +182,7 @@ func TestSimCollectorRouting(t *testing.T) {
 	// A second collector for another strategy shares the registry without
 	// re-registration conflicts, and the families stay separated by label.
 	c2 := NewSimCollector(reg, "CC", nil)
-	c2.Count(MetricTrajectories, "")
+	c2.Add(MetricTrajectories, "", 1)
 	if c.trajectories.Value() != 1 || c2.trajectories.Value() != 1 {
 		t.Fatal("strategies not separated")
 	}
