@@ -82,7 +82,7 @@ func TestDifferentialSimulatorVsExactOnRandomNets(t *testing.T) {
 			t.Fatalf("model %d: %v", modelID, err)
 		}
 		// Exact expected token count of place 0 at the horizon.
-		dist, err := g.TransientDistribution(horizon, 0)
+		dist, err := g.TransientDistribution(horizon)
 		if err != nil {
 			t.Fatalf("model %d: transient: %v", modelID, err)
 		}

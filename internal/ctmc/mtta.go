@@ -55,15 +55,11 @@ func (g *Graph) canReach(target []bool) []bool {
 // ErrUnreachableTarget when the target cannot be reached at all.
 //
 // The linear system t_i = 1/E_i + Σ_j P_ij·t_j over transient states is
-// solved by Gauss-Seidel iteration; tol <= 0 defaults to 1e-12 relative,
-// maxIter == 0 to one million sweeps.
-func (g *Graph) MeanTimeTo(pred san.Predicate, tol float64, maxIter int) (float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter == 0 {
-		maxIter = 1_000_000
-	}
+// solved by Gauss-Seidel iteration to solveTol relative, within maxSweeps
+// sweeps.
+func (g *Graph) MeanTimeTo(pred san.Predicate) (float64, error) { return g.meanTimeTo(pred, maxSweeps) }
+
+func (g *Graph) meanTimeTo(pred san.Predicate, maxIter int) (float64, error) {
 	n := len(g.States)
 	target := make([]bool, n)
 	anyTarget := false
@@ -119,7 +115,7 @@ func (g *Graph) MeanTimeTo(pred san.Predicate, tol float64, maxIter int) (float6
 			}
 			t[s] = next
 		}
-		if maxDelta < tol {
+		if maxDelta < solveTol {
 			return t[g.Initial], nil
 		}
 	}
@@ -158,14 +154,12 @@ func (g *Graph) reachableCanMiss(target, reach []bool) bool {
 // reachable and exactly 1 when every state reachable from the initial one
 // can still reach the target: a finite chain then cannot avoid it.
 // Otherwise it is solved by Gauss-Seidel on p_i = Σ_j P_ij·p_j with p = 1
-// on the target.
-func (g *Graph) AbsorptionProbability(pred san.Predicate, tol float64, maxIter int) (float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter == 0 {
-		maxIter = 1_000_000
-	}
+// on the target, to solveTol within maxSweeps sweeps.
+func (g *Graph) AbsorptionProbability(pred san.Predicate) (float64, error) {
+	return g.absorptionProbability(pred, maxSweeps)
+}
+
+func (g *Graph) absorptionProbability(pred san.Predicate, maxIter int) (float64, error) {
 	n := len(g.States)
 	target := make([]bool, n)
 	for i, mk := range g.States {
@@ -205,7 +199,7 @@ func (g *Graph) AbsorptionProbability(pred san.Predicate, tol float64, maxIter i
 			}
 			p[s] = next
 		}
-		if maxDelta < tol {
+		if maxDelta < solveTol {
 			return p[g.Initial], nil
 		}
 	}

@@ -29,7 +29,7 @@ func TestMeanTimeToErlang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.MeanTimeTo(san.HasTokens(c, k), 0, 0)
+	got, err := g.MeanTimeTo(san.HasTokens(c, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestMeanTimeToMM1KFullBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.MeanTimeTo(san.HasTokens(q, k), 0, 0)
+	got, err := g.MeanTimeTo(san.HasTokens(q, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMeanTimeToTargetAtStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.MeanTimeTo(san.HasTokens(c, 0), 0, 0)
+	got, err := g.MeanTimeTo(san.HasTokens(c, 0))
 	if err != nil || got != 0 {
 		t.Fatalf("MTTA to initial state = %v, %v", got, err)
 	}
@@ -87,7 +87,7 @@ func TestMeanTimeToUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.MeanTimeTo(san.HasTokens(c, 99), 0, 0); !errors.Is(err, ErrUnreachableTarget) {
+	if _, err := g.MeanTimeTo(san.HasTokens(c, 99)); !errors.Is(err, ErrUnreachableTarget) {
 		t.Fatalf("expected ErrUnreachableTarget, got %v", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestMeanTimeToInfiniteWhenMissable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.MeanTimeTo(san.HasTokens(good, 1), 0, 0)
+	got, err := g.MeanTimeTo(san.HasTokens(good, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMeanTimeToInfiniteWhenMissable(t *testing.T) {
 		t.Fatalf("MTTA %v, want +Inf", got)
 	}
 	// And the absorption probability is exactly one half.
-	p, err := g.AbsorptionProbability(san.HasTokens(good, 1), 0, 0)
+	p, err := g.AbsorptionProbability(san.HasTokens(good, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestAbsorptionProbabilityCertainEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := g.AbsorptionProbability(san.HasTokens(c, 4), 0, 0)
+	p, err := g.AbsorptionProbability(san.HasTokens(c, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAbsorptionProbabilityCertainEvent(t *testing.T) {
 		t.Fatalf("absorption probability %v, want 1", p)
 	}
 	// Already satisfied at start.
-	p, err = g.AbsorptionProbability(san.HasTokens(c, 0), 0, 0)
+	p, err = g.AbsorptionProbability(san.HasTokens(c, 0))
 	if err != nil || p != 1 {
 		t.Fatalf("trivial absorption = %v, %v", p, err)
 	}
@@ -171,17 +171,17 @@ func TestCertainAbsorptionOnStiffChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sweeps = 1000
-	p, err := g.AbsorptionProbability(san.HasTokens(ko, 1), 0, sweeps)
+	p, err := g.absorptionProbability(san.HasTokens(ko, 1), sweeps)
 	if err != nil || p != 1 {
 		t.Fatalf("absorption probability %v, %v; want exactly 1", p, err)
 	}
 	// The mean time (1e9+2 hours) has no such shortcut: its failure to
 	// converge is reported as such.
-	if _, err := g.MeanTimeTo(san.HasTokens(ko, 1), 0, sweeps); !errors.Is(err, ErrNotConverged) {
+	if _, err := g.meanTimeTo(san.HasTokens(ko, 1), sweeps); !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("mean time error %v, want ErrNotConverged", err)
 	}
 	// An unreachable target is exactly 0.
-	if p, err := g.AbsorptionProbability(san.HasTokens(up, 2), 0, sweeps); err != nil || p != 0 {
+	if p, err := g.absorptionProbability(san.HasTokens(up, 2), sweeps); err != nil || p != 0 {
 		t.Fatalf("unreachable absorption probability %v, %v; want exactly 0", p, err)
 	}
 }
@@ -196,7 +196,7 @@ func TestMeanTimeToAgreesWithTransientTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := san.HasTokens(c, k)
-	mtta, err := g.MeanTimeTo(target, 0, 0)
+	mtta, err := g.MeanTimeTo(target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,14 +170,15 @@ func TestStiffnessSAN014(t *testing.T) {
 		t.Fatalf("want SAN014, got:\n%s", rep.Text())
 	}
 
-	// A raised threshold silences it.
-	rep, err = Run(m, Config{Facts: facts, StiffnessThreshold: 1e9})
+	// SAN014 follows the facts' flag, the one stiffness threshold.
+	facts.Stiffness.Flagged = false
+	rep, err = Run(m, Config{Facts: facts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range rep.Diagnostics {
 		if d.Check == CheckStiffness {
-			t.Errorf("SAN014 must respect StiffnessThreshold: %s", d)
+			t.Errorf("SAN014 must follow Stiffness.Flagged: %s", d)
 		}
 	}
 }

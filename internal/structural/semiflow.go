@@ -209,7 +209,7 @@ func equalVec(a, b []int) bool {
 
 // pSemiflows computes the P-semiflows of the observed incidence columns:
 // y ≥ 0 with y·Δ = 0 for every column Δ.
-func pSemiflows(cols []column, dims int, opts Options) [][]int {
+func pSemiflows(cols []column, dims, maxRows int) [][]int {
 	vars := make([][]int, dims)
 	for d := 0; d < dims; d++ {
 		row := make([]int, len(cols))
@@ -218,16 +218,16 @@ func pSemiflows(cols []column, dims int, opts Options) [][]int {
 		}
 		vars[d] = row
 	}
-	return farkas(vars, len(cols), opts.MaxEliminationRows)
+	return farkas(vars, len(cols), maxRows)
 }
 
 // tSemiflows computes the T-semiflows: x ≥ 0 with Σ_c x_c·Δ_c = 0.
-func tSemiflows(cols []column, dims int, opts Options) [][]int {
+func tSemiflows(cols []column, dims, maxRows int) [][]int {
 	vars := make([][]int, len(cols))
 	for c := range cols {
 		vars[c] = cols[c].delta
 	}
-	return farkas(vars, dims, opts.MaxEliminationRows)
+	return farkas(vars, dims, maxRows)
 }
 
 // semiflowBounds derives the per-dimension token bound from the semiflows:
@@ -257,10 +257,10 @@ func semiflowBounds(semis [][]int, init []int, dims int) []int {
 
 // renderInvariants converts P-semiflows into the serializable form, capped
 // and deterministically ordered.
-func renderInvariants(semis [][]int, init []int, dimNames []string, maxN int) []Invariant {
+func renderInvariants(semis [][]int, init []int, dimNames []string) []Invariant {
 	out := make([]Invariant, 0, len(semis))
 	for _, y := range semis {
-		if len(out) >= maxN {
+		if len(out) >= maxSemiflows {
 			break
 		}
 		inv := Invariant{}
@@ -278,11 +278,11 @@ func renderInvariants(semis [][]int, init []int, dimNames []string, maxN int) []
 
 // tSemiflowFacts converts T-semiflows into the serializable form with
 // column labels.
-func tSemiflowFacts(p *prober, opts Options) []TSemiflow {
-	semis := tSemiflows(p.cols, p.dims, opts)
+func tSemiflowFacts(p *prober) []TSemiflow {
+	semis := tSemiflows(p.cols, p.dims, p.maxRows)
 	out := make([]TSemiflow, 0, len(semis))
 	for _, x := range semis {
-		if len(out) >= opts.MaxSemiflows {
+		if len(out) >= maxSemiflows {
 			break
 		}
 		ts := TSemiflow{}
