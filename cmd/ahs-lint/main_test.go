@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -138,7 +139,7 @@ func TestFactsGolden(t *testing.T) {
 		if !f.Exhaustive {
 			t.Errorf("%s: golden facts not exhaustive", f.Model)
 		}
-		if f.StateBound() <= 0 {
+		if n, err := strconv.Atoi(f.StateSpaceBound); err != nil || n <= 0 {
 			t.Errorf("%s: no certified state bound", f.Model)
 		}
 	}

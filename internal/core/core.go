@@ -242,12 +242,6 @@ func (a *AHS) tsink() telemetry.Sink {
 	return nil
 }
 
-// Slots returns the number of vehicle slots (Lanes·N).
-func (a *AHS) Slots() int { return a.slots }
-
-// Lanes returns the number of lanes (platoons).
-func (a *AHS) Lanes() int { return len(a.lanes) }
-
 // Unsafe reports whether the marking is in the absorbing unsafe state
 // (KO_total marked) — the event whose probability is S(t).
 func (a *AHS) Unsafe(mk *san.Marking) bool { return mk.Tokens(a.koTotal) > 0 }
@@ -272,15 +266,6 @@ func (a *AHS) ActiveFailures(mk *san.Marking) (nA, nB, nC int) {
 	return mk.Tokens(a.classA), mk.Tokens(a.classB), mk.Tokens(a.classC)
 }
 
-// VehiclesInSystem returns how many vehicles are currently on the highway.
-func (a *AHS) VehiclesInSystem(mk *san.Marking) int {
-	n := 0
-	for _, p := range a.inSys {
-		n += mk.Tokens(p)
-	}
-	return n
-}
-
 // LaneSizes returns the current platoon size of each lane.
 func (a *AHS) LaneSizes(mk *san.Marking) []int {
 	sizes := make([]int, len(a.lanes))
@@ -288,27 +273,6 @@ func (a *AHS) LaneSizes(mk *san.Marking) []int {
 		sizes[i] = mk.ExtLen(lane)
 	}
 	return sizes
-}
-
-// Outcomes returns the cumulative counts of vehicles that left the highway
-// safely after a successful maneuver (v_OK) and of vehicles whose Aided
-// Stop failed (v_KO, free agents). It returns ok=false when the model was
-// built with TrackOutcomes disabled.
-func (a *AHS) Outcomes(mk *san.Marking) (vOK, vKO int, ok bool) {
-	if !a.Params.TrackOutcomes {
-		return 0, 0, false
-	}
-	return mk.Tokens(a.vOK), mk.Tokens(a.vKO), true
-}
-
-// FailureMode returns vehicle i's governing failure mode (0 when healthy).
-func (a *AHS) FailureMode(mk *san.Marking, i int) platoon.FailureMode {
-	return platoon.FailureMode(mk.Tokens(a.fm[i]))
-}
-
-// ActiveManeuver returns vehicle i's executing maneuver (0 when none).
-func (a *AHS) ActiveManeuver(mk *san.Marking, i int) platoon.Maneuver {
-	return platoon.Maneuver(mk.Tokens(a.man[i]))
 }
 
 // View builds the platoon.View of a marking, used for participant

@@ -79,8 +79,8 @@ func TestLoad(t *testing.T) {
 func TestBuildStructure(t *testing.T) {
 	a := MustBuild(DefaultParams())
 	slots := 2 * a.Params.N
-	if a.Slots() != slots {
-		t.Fatalf("slots %d, want %d", a.Slots(), slots)
+	if a.slots != slots {
+		t.Fatalf("slots %d, want %d", a.slots, slots)
 	}
 	// Per vehicle: 6 failure modes + 1 maneuver + 1 transit exit.
 	// Global: join, leave1, leave2, ch1, ch2.
@@ -123,8 +123,8 @@ func TestInitialMarking(t *testing.T) {
 	if len(sizes) != 2 || sizes[0] != 10 || sizes[1] != 10 {
 		t.Fatalf("initial platoon sizes %v", sizes)
 	}
-	if a.VehiclesInSystem(mk) != 20 {
-		t.Fatalf("initial vehicles %d", a.VehiclesInSystem(mk))
+	if n := vehiclesInSystem(a, mk); n != 20 {
+		t.Fatalf("initial vehicles %d", n)
 	}
 	nA, nB, nC := a.ActiveFailures(mk)
 	if nA+nB+nC != 0 {
@@ -133,7 +133,7 @@ func TestInitialMarking(t *testing.T) {
 	if a.Unsafe(mk) || a.UnsafetyIndicator(mk) != 0 {
 		t.Fatal("initial marking must be safe")
 	}
-	if vOK, vKO, ok := a.Outcomes(mk); !ok || vOK != 0 || vKO != 0 {
+	if mk.Tokens(a.vOK) != 0 || mk.Tokens(a.vKO) != 0 {
 		t.Fatal("initial outcome counters must be zero")
 	}
 	view := a.View(mk)
@@ -225,8 +225,7 @@ func TestOutcomesAccumulate(t *testing.T) {
 	probe := &sim.Probe{
 		Times: []float64{50},
 		Value: func(mk *san.Marking) float64 {
-			vOK, _, _ := a.Outcomes(mk)
-			return float64(vOK)
+			return float64(mk.Tokens(a.vOK))
 		},
 	}
 	if _, err := r.Run(rng.NewStream(3), probe); err != nil {
@@ -239,10 +238,16 @@ func TestOutcomesAccumulate(t *testing.T) {
 
 func TestOutcomesDisabled(t *testing.T) {
 	p := DefaultParams()
+	tracked := MustBuild(p)
 	p.TrackOutcomes = false
 	a := MustBuild(p)
-	if _, _, ok := a.Outcomes(a.Model.InitialMarking()); ok {
-		t.Fatal("Outcomes must report ok=false when tracking is disabled")
+	for _, name := range []string{"severity.v_OK", "severity.v_KO"} {
+		if _, ok := tracked.Model.PlaceByName(name); !ok {
+			t.Fatalf("tracked outcomes must build the %s counter", name)
+		}
+		if _, ok := a.Model.PlaceByName(name); ok {
+			t.Fatalf("untracked outcomes must not build the %s counter", name)
+		}
 	}
 }
 
@@ -516,8 +521,8 @@ func TestFailureAndManeuverStateTransitions(t *testing.T) {
 
 	// Vehicle 1 suffers FM6 (class C): governed by TIE-N.
 	a.applyFailure(mk, 1, platoon.FM6)
-	if a.FailureMode(mk, 1) != platoon.FM6 || a.ActiveManeuver(mk, 1) != platoon.TIEN {
-		t.Fatalf("after FM6: fm=%v man=%v", a.FailureMode(mk, 1), a.ActiveManeuver(mk, 1))
+	if platoon.FailureMode(mk.Tokens(a.fm[1])) != platoon.FM6 || platoon.Maneuver(mk.Tokens(a.man[1])) != platoon.TIEN {
+		t.Fatalf("after FM6: fm=%v man=%v", platoon.FailureMode(mk.Tokens(a.fm[1])), platoon.Maneuver(mk.Tokens(a.man[1])))
 	}
 	nA, nB, nC := a.ActiveFailures(mk)
 	if nA != 0 || nB != 0 || nC != 1 {
@@ -527,42 +532,42 @@ func TestFailureAndManeuverStateTransitions(t *testing.T) {
 	// Vehicle 2 suffers FM3 (class A1 -> GS). Vehicle 1's pending request
 	// is not retroactively changed.
 	a.applyFailure(mk, 2, platoon.FM3)
-	if a.ActiveManeuver(mk, 2) != platoon.GS {
-		t.Fatalf("vehicle 2 maneuver %v, want GS", a.ActiveManeuver(mk, 2))
+	if platoon.Maneuver(mk.Tokens(a.man[2])) != platoon.GS {
+		t.Fatalf("vehicle 2 maneuver %v, want GS", platoon.Maneuver(mk.Tokens(a.man[2])))
 	}
 
 	// Vehicle 3 now suffers FM6; the refusal rule escalates its requested
 	// maneuver to at least GS's priority level, but the failure mode — and
 	// hence its severity class — stays FM6/class C.
 	a.applyFailure(mk, 3, platoon.FM6)
-	if got := a.ActiveManeuver(mk, 3); got.PriorityLevel() < platoon.GS.PriorityLevel() {
+	if got := platoon.Maneuver(mk.Tokens(a.man[3])); got.PriorityLevel() < platoon.GS.PriorityLevel() {
 		t.Fatalf("refusal rule did not escalate vehicle 3's maneuver: %v", got)
 	}
-	if a.FailureMode(mk, 3) != platoon.FM6 {
-		t.Fatalf("refusal must not change the failure mode, got %v", a.FailureMode(mk, 3))
+	if platoon.FailureMode(mk.Tokens(a.fm[3])) != platoon.FM6 {
+		t.Fatalf("refusal must not change the failure mode, got %v", platoon.FailureMode(mk.Tokens(a.fm[3])))
 	}
 	if nA, _, nC := a.ActiveFailures(mk); nA != 1 || nC != 2 {
 		t.Fatalf("counters A=%d C=%d; refusal escalation must not add class A", nA, nC)
 	}
 
 	// Maneuver failure escalates along the chain of Figure 2.
-	before := a.FailureMode(mk, 2)
+	before := platoon.FailureMode(mk.Tokens(a.fm[2]))
 	a.escalateAfterFailure(mk, 2)
-	after := a.FailureMode(mk, 2)
+	after := platoon.FailureMode(mk.Tokens(a.fm[2]))
 	wantNext, _ := before.Escalate()
 	if after != wantNext {
 		t.Fatalf("escalation %v -> %v, want %v", before, after, wantNext)
 	}
 
 	// Drive vehicle 2 to FM1 and fail its Aided Stop: v_KO, free agent.
-	for a.FailureMode(mk, 2) != platoon.FM1 {
+	for platoon.FailureMode(mk.Tokens(a.fm[2])) != platoon.FM1 {
 		a.escalateAfterFailure(mk, 2)
 	}
 	a.escalateAfterFailure(mk, 2)
-	if a.FailureMode(mk, 2) != 0 || mk.Tokens(a.inSys[2]) != 0 {
+	if platoon.FailureMode(mk.Tokens(a.fm[2])) != 0 || mk.Tokens(a.inSys[2]) != 0 {
 		t.Fatal("AS failure must remove the vehicle as a free agent")
 	}
-	if _, vKO, _ := a.Outcomes(mk); vKO != 1 {
+	if vKO := mk.Tokens(a.vKO); vKO != 1 {
 		t.Fatalf("v_KO counter %d, want 1", vKO)
 	}
 	if err := a.CheckInvariants(mk); err != nil {
@@ -718,7 +723,7 @@ func TestAblationRefusalDisabledStillConsistent(t *testing.T) {
 	mk := a.Model.InitialMarking()
 	a.applyFailure(mk, 1, platoon.FM3) // GS running
 	a.applyFailure(mk, 2, platoon.FM6)
-	if got := a.ActiveManeuver(mk, 2); got != platoon.TIEN {
+	if got := platoon.Maneuver(mk.Tokens(a.man[2])); got != platoon.TIEN {
 		t.Fatalf("refusal-ablated maneuver %v, want TIE-N", got)
 	}
 }
@@ -904,16 +909,16 @@ func TestMultiLaneStructure(t *testing.T) {
 	p.N = 4
 	p.Lanes = 3
 	a := MustBuild(p)
-	if a.Slots() != 12 || a.Lanes() != 3 {
-		t.Fatalf("slots %d lanes %d", a.Slots(), a.Lanes())
+	if a.slots != 12 || len(a.lanes) != 3 {
+		t.Fatalf("slots %d lanes %d", a.slots, len(a.lanes))
 	}
 	mk := a.Model.InitialMarking()
 	sizes := a.LaneSizes(mk)
 	if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 4 {
 		t.Fatalf("initial lane sizes %v", sizes)
 	}
-	if a.VehiclesInSystem(mk) != 12 {
-		t.Fatalf("initial vehicles %d", a.VehiclesInSystem(mk))
+	if n := vehiclesInSystem(a, mk); n != 12 {
+		t.Fatalf("initial vehicles %d", n)
 	}
 	// Dynamicity: 1 join + 3 leaves + 4 changes (two per adjacent pair).
 	for _, name := range []string{
@@ -1057,4 +1062,13 @@ func TestMultiLaneExactCTMCCrossCheck(t *testing.T) {
 	if math.Abs(iv.Point-exact) > 5*se+1e-12 {
 		t.Fatalf("simulated %v vs exact %v (se %v)", iv.Point, exact, se)
 	}
+}
+
+// vehiclesInSystem counts the vehicles on the highway in mk.
+func vehiclesInSystem(a *AHS, mk *san.Marking) int {
+	n := 0
+	for _, p := range a.inSys {
+		n += mk.Tokens(p)
+	}
+	return n
 }

@@ -230,7 +230,7 @@ func Fig13(cfg Config) (*Result, error) {
 		p := core.DefaultParams().WithPlatoonSize(8)
 		p.JoinRate = pair.join
 		p.LeaveRate = pair.leave
-		label := fmt.Sprintf("ρ=%g (join=%g, leave=%g)", pair.join/pair.leave, pair.join, pair.leave)
+		label := fmt.Sprintf("ρ=%g (join=%g, leave=%g)", p.Load(), pair.join, pair.leave)
 		s, err := estimateCurve(p, label, tripGrid, cfg)
 		if err != nil {
 			return nil, err

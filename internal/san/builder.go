@@ -7,10 +7,11 @@ import (
 )
 
 // Builder assembles a Model incrementally. Submodels are composed by
-// building into scoped child builders (see Scope, Rep and Join), which
-// namespace place and activity names exactly like the Möbius composition
-// tree namespaces replicas; places created on a parent scope and referenced
-// from children act as the shared ("common") places of the Join operator.
+// building into scoped child builders (see Scope and Rep), which namespace
+// place and activity names exactly like the Möbius composition tree
+// namespaces replicas; places created on a parent scope and referenced
+// from children act as the shared ("common") places of the Join operator,
+// so a Join is one Scope per submodel.
 type Builder struct {
 	root   *builderState
 	prefix string
@@ -166,29 +167,6 @@ func (b *Builder) Rep(name string, n int, sub func(rb *Builder, i int)) {
 	}
 	for i := 0; i < n; i++ {
 		sub(b.Scope(fmt.Sprintf("%s[%d]", name, i)), i)
-	}
-}
-
-// Join composes several named submodels, mirroring the Möbius Join operator.
-// Each submodel builds into its own scope; sharing happens through places
-// owned by b (or any ancestor scope).
-func (b *Builder) Join(subs map[string]func(jb *Builder)) {
-	// Deterministic order: sort keys.
-	names := make([]string, 0, len(subs))
-	for name := range subs {
-		names = append(names, name)
-	}
-	sortStrings(names)
-	for _, name := range names {
-		subs[name](b.Scope(name))
-	}
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }
 

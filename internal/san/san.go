@@ -14,8 +14,8 @@
 //     gates (marking-change function), generalising plain arcs;
 //   - cases: probabilistic branches on activity completion.
 //
-// Models are built with a Builder, optionally through the Rep and Join
-// composition helpers mirroring the Möbius Rep/Join operators used in
+// Models are built with a Builder, optionally through its Scope and Rep
+// composition helpers, which express the Möbius Join/Rep operators used in
 // Figure 9 of the paper. Execution lives in internal/sim; exact numerical
 // solution of exponential-only models lives in internal/ctmc.
 package san

@@ -178,19 +178,15 @@ func TestRepRejectsNonPositiveCount(t *testing.T) {
 	}
 }
 
+// TestJoinComposesSubmodels expresses the Möbius Join operator as one
+// Scope per submodel, sharing a place owned by the parent.
 func TestJoinComposesSubmodels(t *testing.T) {
 	b := NewBuilder("join")
 	shared := b.Place("bus", 0)
-	b.Join(map[string]func(*Builder){
-		"producer": func(jb *Builder) {
-			jb.Timed(TimedActivity{Name: "put", Rate: ConstRate(1), Input: Produce(shared, 1)})
-		},
-		"consumer": func(jb *Builder) {
-			jb.Timed(TimedActivity{
-				Name: "get", Enabled: HasTokens(shared, 1),
-				Rate: ConstRate(1), Input: Consume(shared, 1),
-			})
-		},
+	b.Scope("producer").Timed(TimedActivity{Name: "put", Rate: ConstRate(1), Input: Produce(shared, 1)})
+	b.Scope("consumer").Timed(TimedActivity{
+		Name: "get", Enabled: HasTokens(shared, 1),
+		Rate: ConstRate(1), Input: Consume(shared, 1),
 	})
 	m := b.MustBuild()
 	if m.TimedIndex("producer.put") < 0 || m.TimedIndex("consumer.get") < 0 {

@@ -1,6 +1,7 @@
 package structural_test
 
 import (
+	"strconv"
 	"testing"
 
 	"ahs"
@@ -52,8 +53,8 @@ func TestPaperModelFactsAgreeWithExploration(t *testing.T) {
 				t.Fatalf("ctmc.Explore: %v", err)
 			}
 
-			bound := facts.StateBound()
-			if bound <= 0 {
+			bound, err := strconv.Atoi(facts.StateSpaceBound)
+			if err != nil || bound <= 0 {
 				t.Fatalf("no certified state bound: %q", facts.StateSpaceBound)
 			}
 			if len(graph.States) > bound {
@@ -65,7 +66,7 @@ func TestPaperModelFactsAgreeWithExploration(t *testing.T) {
 			for _, mk := range graph.States {
 				for p := 0; p < model.NumPlaces(); p++ {
 					name := model.PlaceName(san.PlaceID(p))
-					b := facts.PlaceBound(name)
+					b := certifiedBound(facts, name)
 					if b < 0 {
 						t.Fatalf("place %s has no certified bound on an exhaustive walk", name)
 					}
@@ -75,7 +76,7 @@ func TestPaperModelFactsAgreeWithExploration(t *testing.T) {
 				}
 				for p := 0; p < model.NumExtPlaces(); p++ {
 					name := "len(" + model.ExtPlaceName(san.ExtPlaceID(p)) + ")"
-					b := facts.PlaceBound(name)
+					b := certifiedBound(facts, name)
 					if b < 0 {
 						t.Fatalf("pseudo-place %s has no certified bound on an exhaustive walk", name)
 					}
@@ -106,6 +107,17 @@ func TestPaperModelFactsAgreeWithExploration(t *testing.T) {
 			}
 		})
 	}
+}
+
+// certifiedBound returns the certified bound of the named place or
+// pseudo-place, -1 when none is certified or the name is unknown.
+func certifiedBound(f *structural.ModelFacts, name string) int {
+	for _, pf := range f.Places {
+		if pf.Name == name {
+			return pf.CertifiedBound
+		}
+	}
+	return -1
 }
 
 func evalInvariant(t *testing.T, model *san.Model, inv structural.Invariant, mk *san.Marking) int {
@@ -170,8 +182,8 @@ func TestPaperModelReplicaFacts(t *testing.T) {
 	if rf == nil {
 		t.Fatal("paper model must report replica facts")
 	}
-	if rf.Replicas != sys.Slots() {
-		t.Errorf("Replicas = %d, want %d slots", rf.Replicas, sys.Slots())
+	if slots := sys.Params.Lanes * sys.Params.N; rf.Replicas != slots {
+		t.Errorf("Replicas = %d, want %d slots", rf.Replicas, slots)
 	}
 	if rf.LocalStates < 2 {
 		t.Errorf("LocalStates = %d, want >= 2", rf.LocalStates)
