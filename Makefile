@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build vet test race lint tools sanlint facts-golden serve worker cluster-smoke sweep-smoke store-smoke fleet-smoke chaos fuzz bench bench-json profile figures figures-full docs clean
+.PHONY: all build vet test race lint tools sanlint facts-golden serve worker cluster-smoke sweep-smoke store-smoke fleet-smoke chaos fuzz bench profile figures figures-full docs clean
 
 all: build lint test
 
@@ -176,19 +176,6 @@ fuzz:
 # batch budget and runs the micro/ablation benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable benchmark baseline: the key Monte-Carlo, simulation,
-# cluster and tracing benchmarks as a `go test -json` event stream,
-# committed as BENCH_baseline.json at the repo root. The schema (and the
-# presence of each benchmark) is pinned by internal/benchjson's tests;
-# regenerate and commit after an intentional performance-relevant change.
-bench-json:
-	$(GO) test -run '^$$' -benchmem -benchtime=100ms -json \
-		-bench 'MCBaseline|MCInstrumented|PoissonTrajectory|GeneralRunnerMM1K|CoordinatorNoJournal|StartDisabled|StartSampled|AddEventDisabled|StorePut|StoreGet' \
-		./internal/mc/ ./internal/sim/ ./internal/cluster/ ./internal/obs/ ./internal/resultstore/ \
-		> BENCH_baseline.json
-	$(GO) test -run TestCommittedBaseline -count=1 ./internal/benchjson/
-	@echo "BENCH_baseline.json regenerated; review with: git diff BENCH_baseline.json"
 
 # Profile a representative estimation run (CPU + heap + runtime trace;
 # see docs/observability.md). Inspect with:
