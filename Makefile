@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build vet test race lint tools sanlint facts-golden serve worker cluster-smoke sweep-smoke store-smoke fleet-smoke chaos fuzz bench profile figures figures-full docs clean
+.PHONY: all build vet test race lint loc tools sanlint facts-golden serve worker cluster-smoke sweep-smoke store-smoke fleet-smoke chaos fuzz bench profile figures figures-full docs clean
 
 all: build lint test
 
@@ -23,12 +23,17 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# Non-test Go lines under internal/ and cmd/, the size figure each change
+# records in CHANGES.md.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+
 # Build the repo's own verification tools.
 tools:
 	$(GO) build -o $(BIN)/ahs-vet ./cmd/ahs-vet
 	$(GO) build -o $(BIN)/ahs-lint ./cmd/ahs-lint
 
-# Lint the models: structural checks (SAN001..SAN014, docs/linting.md) over
+# Lint the models: structural checks (SAN001..SAN011, docs/linting.md) over
 # every coordination strategy.
 sanlint: tools
 	$(BIN)/ahs-lint

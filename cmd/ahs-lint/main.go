@@ -28,7 +28,6 @@ import (
 
 	"ahs"
 	"ahs/internal/core"
-	"ahs/internal/san"
 	"ahs/internal/sanlint"
 	"ahs/internal/structural"
 )
@@ -59,7 +58,7 @@ func run(args []string, out io.Writer) error {
 		jsonOut   = fs.Bool("json", false, "emit machine-readable JSON diagnostics")
 		strict    = fs.Bool("strict", false, "exit non-zero on warnings too, not only errors")
 		checks    = fs.Bool("checks", false, "print the check catalogue and exit")
-		factsOut  = fs.Bool("facts", false, "emit certified structural model facts as JSON (cross-validated against the linter's exploration)")
+		factsOut  = fs.Bool("facts", false, "emit certified structural model facts as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -130,50 +129,15 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// emitFacts computes structural model facts for every system, cross-validates
-// them against the linter's own exhaustive exploration (a bound or invariant
-// the exploration contradicts is a bug in one of the two engines), and emits
-// them as a deterministic JSON array.
+// emitFacts computes the certified structural facts of every system,
+// absorbing where the linter does (KO_total marked), and emits them as a
+// deterministic JSON array.
 func emitFacts(out io.Writer, systems []*core.AHS, maxStates int) error {
 	all := make([]*structural.ModelFacts, 0, len(systems))
 	for _, sys := range systems {
-		// Absorb exactly where the linter does: any goal place marked.
-		var goalIDs []san.PlaceID
-		for _, name := range sys.GoalPlaces() {
-			id, ok := sys.Model.PlaceByName(name)
-			if !ok {
-				return fmt.Errorf("goal place %q not in model %q", name, sys.Model.Name())
-			}
-			goalIDs = append(goalIDs, id)
-		}
-		absorb := func(mk *san.Marking) bool {
-			for _, id := range goalIDs {
-				if mk.Tokens(id) > 0 {
-					return true
-				}
-			}
-			return false
-		}
-		facts, err := structural.Analyze(sys.Model, structural.Options{
-			MaxStates: maxStates,
-			Absorb:    absorb,
-		})
+		facts, err := structural.Analyze(sys.Model, structural.Options{MaxStates: maxStates, Absorb: sys.Unsafe})
 		if err != nil {
 			return err
-		}
-		rep, err := sanlint.Run(sys.Model, sanlint.Config{
-			MaxStates: maxStates,
-			Observed:  sys.ObservablePlaces(),
-			Goals:     sys.GoalPlaces(),
-			Facts:     facts,
-		})
-		if err != nil {
-			return err
-		}
-		for _, d := range rep.Diagnostics {
-			if d.Check == sanlint.CheckBoundViolation || d.Check == sanlint.CheckNonConservative {
-				return fmt.Errorf("facts for %s contradicted by exploration: %s", sys.Model.Name(), d)
-			}
 		}
 		all = append(all, facts)
 	}

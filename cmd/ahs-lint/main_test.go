@@ -44,10 +44,15 @@ func TestPaperModelsLintClean(t *testing.T) {
 }
 
 // TestPhasedVariantLintsClean covers the phased-maneuver model variant,
-// which adds the coordination activity and phase place usage.
+// which adds the coordination activity and phase place usage: all four
+// strategies lint without a single finding, warnings included.
 func TestPhasedVariantLintsClean(t *testing.T) {
-	if err := run([]string{"-strategy", "CC", "-phased"}, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	var out bytes.Buffer
+	if err := run([]string{"-phased", "-strict"}, &out); err != nil {
+		t.Fatalf("%v:\n%s", err, out.String())
+	}
+	if got := strings.Count(out.String(), ": ok\n"); got != 4 {
+		t.Errorf("want four clean reports, got:\n%s", out.String())
 	}
 }
 

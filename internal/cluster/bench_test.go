@@ -10,18 +10,17 @@ import (
 )
 
 // Journal overhead benchmarks: the same 20k-batch evaluation through the
-// coordinator, without a journal (the direct path), with a fully fsync'd
-// journal (the crash-safe default), and with NoSync (isolating the
-// fsync cost from the framing/encoding cost). Run with:
+// coordinator, without a journal (the direct path) and with the fsync'd
+// journal. Run with:
 //
 //	go test ./internal/cluster/ -run '^$' -bench BenchmarkCoordinator -benchtime 5x
 //
 // The measured overhead of the durable journal is reported in
 // docs/cluster.md ("Failure model & recovery"); the acceptance bar is <=5%.
-func benchmarkCoordinatorCurve(b *testing.B, journaled, noSync bool) {
+func benchmarkCoordinatorCurve(b *testing.B, journaled bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		coordinatorCurve(b, journaled, noSync)
+		coordinatorCurve(b, journaled)
 	}
 }
 
@@ -29,7 +28,7 @@ func benchmarkCoordinatorCurve(b *testing.B, journaled, noSync bool) {
 // coordinator, journaled or not, and returns the summed duration of its
 // journal appends as ahs_journal_append_seconds recorded it (zero
 // unjournaled).
-func coordinatorCurve(tb testing.TB, journaled, noSync bool) time.Duration {
+func coordinatorCurve(tb testing.TB, journaled bool) time.Duration {
 	cfg := Config{
 		PollInterval: time.Millisecond, // rescue ticks must not dominate the measurement
 		ChunkBatches: 2000,
@@ -39,7 +38,7 @@ func coordinatorCurve(tb testing.TB, journaled, noSync bool) time.Duration {
 	var j *Journal
 	if journaled {
 		var err error
-		j, err = OpenJournal(JournalConfig{Dir: tb.TempDir(), NoSync: noSync, Telemetry: reg})
+		j, err = OpenJournal(JournalConfig{Dir: tb.TempDir(), Telemetry: reg})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -65,9 +64,8 @@ func coordinatorCurve(tb testing.TB, journaled, noSync bool) time.Duration {
 	return 0
 }
 
-func BenchmarkCoordinatorNoJournal(b *testing.B)     { benchmarkCoordinatorCurve(b, false, false) }
-func BenchmarkCoordinatorJournal(b *testing.B)       { benchmarkCoordinatorCurve(b, true, false) }
-func BenchmarkCoordinatorJournalNoSync(b *testing.B) { benchmarkCoordinatorCurve(b, true, true) }
+func BenchmarkCoordinatorNoJournal(b *testing.B) { benchmarkCoordinatorCurve(b, false) }
+func BenchmarkCoordinatorJournal(b *testing.B)   { benchmarkCoordinatorCurve(b, true) }
 
 // TestJournalOverheadBudget enforces the acceptance bar in the suite
 // itself: on a 20k-batch run the journal may cost at most 15% of the
@@ -89,10 +87,10 @@ func TestJournalOverheadBudget(t *testing.T) {
 	var bases, journaled, shares []float64
 	for i := 0; i < pairs; i++ {
 		start := time.Now()
-		coordinatorCurve(t, false, false)
+		coordinatorCurve(t, false)
 		bases = append(bases, float64(time.Since(start)))
 		start = time.Now()
-		inAppends := coordinatorCurve(t, true, false)
+		inAppends := coordinatorCurve(t, true)
 		wall := time.Since(start)
 		journaled = append(journaled, float64(wall))
 		shares = append(shares, float64(inAppends)/float64(wall))

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"ahs/internal/config"
 	"ahs/internal/core"
 	"ahs/internal/mc"
+	"ahs/internal/segment"
 	"ahs/internal/telemetry"
 )
 
@@ -510,6 +513,93 @@ func TestClusterRejectsStaleCompletion(t *testing.T) {
 	}
 	assertBitIdentical(t, got, want)
 	if got.Batches != 2000 {
+		t.Fatalf("lost or double-counted batches: %d", got.Batches)
+	}
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestClusterRejectsOversizedCompletion streams a valid completion padded
+// with whitespace to one byte over segment.MaxPayload: it answers 400 and
+// folds nothing, so the lease stays outstanding and the same completion
+// within the cap then folds it exactly once.
+func TestClusterRejectsOversizedCompletion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the coordinator buffers a 64 MiB body")
+	}
+	sc := testScenario(500)
+	want := singleProcessCurve(t, sc, 500)
+	coord, srv := testCluster(t, Config{
+		LeaseTTL:         time.Minute,
+		HeartbeatTimeout: time.Minute,
+		CheckEvery:       500,
+		ChunkBatches:     500,
+	})
+
+	rc := &rawClient{t: t, url: srv.URL, id: "w0"}
+	if code := rc.register(); code != http.StatusOK {
+		t.Fatalf("register: HTTP %d", code)
+	}
+	resCh := make(chan error, 1)
+	var got *mc.Curve
+	go func() {
+		curve, _, err := coord.UnsafetyCurve(context.Background(), sc, 1, nil)
+		got = curve
+		resCh <- err
+	}()
+	var l *Lease
+	for l == nil {
+		var code int
+		l, code = rc.lease()
+		if code != http.StatusOK {
+			t.Fatalf("lease: HTTP %d", code)
+		}
+		if l == nil {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	w := &Worker{Coordinator: srv.URL, ID: "w0", SimWorkers: 1}
+	state, err := w.runChunk(context.Background(), l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := completeRequest{WorkerID: "w0", LeaseID: l.ID, State: state}
+	valid, err := json.Marshal(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	body := io.MultiReader(
+		bytes.NewReader(valid[:len(valid)-1]),
+		io.LimitReader(spaces{}, int64(segment.MaxPayload+1-len(valid))),
+		strings.NewReader("}"),
+	)
+	rec := httptest.NewRecorder()
+	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathComplete, body))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("over-cap completion answered %d, want 400", rec.Code)
+	}
+	if st := coord.Status(); st.LeasedChunks != 1 {
+		t.Fatalf("over-cap completion changed the leases: %+v", st)
+	}
+
+	var resp completeResponse
+	if code := rc.post(PathComplete, done, &resp); code != http.StatusOK || !resp.OK {
+		t.Fatalf("completion within the cap: HTTP %d, %+v", code, resp)
+	}
+	if err := <-resCh; err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, got, want)
+	if got.Batches != 500 {
 		t.Fatalf("lost or double-counted batches: %d", got.Batches)
 	}
 }

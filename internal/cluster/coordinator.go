@@ -15,6 +15,7 @@ import (
 	"ahs/internal/core"
 	"ahs/internal/mc"
 	"ahs/internal/obs"
+	"ahs/internal/segment"
 	"ahs/internal/telemetry"
 )
 
@@ -936,7 +937,10 @@ func (c *Coordinator) finishJobLocked(j *clusterJob, err error) {
 // Handler returns the coordinator's HTTP API, rooted at the PathRegister /
 // PathLease / PathComplete / PathStatus routes. Mount it on the serving mux
 // (the paths are absolute, so http.Handle(PathRegister, h) and a plain
-// mux.Handle("/cluster/v1/", h) both work).
+// mux.Handle("/cluster/v1/", h) both work). A request body may hold at
+// most segment.MaxPayload bytes, the largest record the journal stores
+// (a completion carries one mc.ChunkState); a larger one fails decoding
+// and answers 400.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathRegister, c.handleRegister)
@@ -944,7 +948,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST "+PathComplete, c.handleComplete)
 	mux.HandleFunc("POST "+PathDeregister, c.handleDeregister)
 	mux.HandleFunc("GET "+PathStatus, c.handleStatus)
-	return mux
+	return http.MaxBytesHandler(mux, segment.MaxPayload)
 }
 
 // handleDeregister removes a draining worker immediately instead of

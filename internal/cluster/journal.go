@@ -102,10 +102,6 @@ type JournalConfig struct {
 	// (default 1024). Compaction cost is proportional to live-job state,
 	// which is small, so the default favours a short replay tail.
 	CompactEvery int
-	// NoSync skips the per-record fsync. Only benchmarks measuring the
-	// non-durability overhead should set it: a crash with NoSync loses
-	// whatever the OS had not flushed.
-	NoSync bool
 	// Telemetry, when non-nil, receives the ahs_journal_* families.
 	Telemetry *telemetry.Registry
 	// Logf, when non-nil, receives operational log lines.
@@ -207,7 +203,7 @@ func OpenJournal(cfg JournalConfig) (_ *Journal, err error) {
 	}
 	_, j.dropped = segment.Scan(data, j.replayFrame)
 	tailPath := filepath.Join(cfg.Dir, journalTailName)
-	tail, sc, err := segment.Open(tailPath, cfg.NoSync, j.replayFrame)
+	tail, sc, err := segment.Open(tailPath, false, j.replayFrame)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: open journal tail: %w", err)
 	}
@@ -298,9 +294,9 @@ func (j *Journal) fold(rec journalRecord) {
 	}
 }
 
-// append writes and (unless NoSync) fsyncs one record, folds it into the
-// in-memory state, and compacts when the tail has grown past CompactEvery
-// records. The record is durable when append returns. Its whole duration,
+// append writes and fsyncs one record, folds it into the in-memory
+// state, and compacts when the tail has grown past CompactEvery records.
+// The record is durable when append returns. Its whole duration,
 // lock wait and compaction included, lands in ahs_journal_append_seconds.
 func (j *Journal) append(rec journalRecord) error {
 	defer j.metrics.timeAppend(time.Now())
@@ -318,9 +314,7 @@ func (j *Journal) append(rec journalRecord) error {
 	if err != nil {
 		return fmt.Errorf("cluster: journal append: %w", err)
 	}
-	if !j.cfg.NoSync {
-		j.metrics.fsynced(1)
-	}
+	j.metrics.fsynced(1)
 	j.fold(rec)
 	j.metrics.appended(int(fr.Size()))
 	j.appends++
@@ -434,8 +428,8 @@ func (j *Journal) maxJobID() uint64 {
 }
 
 // Sync flushes the tail to stable storage. Appends already sync
-// individually (unless NoSync); Sync exists for drain paths that want an
-// explicit barrier before exiting.
+// individually; Sync exists for drain paths that want an explicit barrier
+// before exiting.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

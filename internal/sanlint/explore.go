@@ -53,8 +53,6 @@ type linter struct {
 	dedup map[string]struct{}
 
 	weight map[string]*weightRecord
-
-	facts *resolvedFacts
 }
 
 // diag records a finding once per (check, object) pair.
@@ -94,16 +92,12 @@ func (l *linter) explore() error {
 	return nil
 }
 
-// state records which goals a new stable marking reaches and asserts the
-// facts on it.
+// state records which goals a new stable marking reaches.
 func (l *linter) state(_ int, mk *san.Marking) {
 	for gi, g := range l.goals {
 		if mk.Tokens(g) > 0 {
 			l.goalReached[gi] = true
 		}
-	}
-	if l.facts != nil {
-		l.factsChecks(mk)
 	}
 }
 

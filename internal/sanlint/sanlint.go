@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"ahs/internal/san"
-	"ahs/internal/structural"
 )
 
 // Severity ranks a diagnostic.
@@ -91,17 +90,9 @@ const (
 	// ctmc.MaxInstantDepth — instantaneous activities likely re-enable
 	// forever.
 	CheckInstantLivelock CheckID = "SAN011"
-	// CheckBoundViolation: a reachable marking exceeds a token bound
-	// certified by the structural analyzer (Config.Facts) — the facts and
-	// the explorer disagree, so one of them is wrong.
-	CheckBoundViolation CheckID = "SAN012"
-	// CheckNonConservative: a reachable marking violates a conservation
-	// invariant (P-semiflow) certified by the structural analyzer.
-	CheckNonConservative CheckID = "SAN013"
-	// CheckStiffness: the facts flag the spread between the fastest and
-	// slowest observed exponential rates (structural.StiffnessThreshold);
-	// both uniformization and naive Monte Carlo degrade on such models.
-	CheckStiffness CheckID = "SAN014"
+
+	// SAN012–SAN014 are retired: tools may still filter on them, so they
+	// are never reused.
 )
 
 // CheckInfo describes one catalogue entry.
@@ -125,9 +116,6 @@ func Catalog() []CheckInfo {
 		{CheckInvalidRate, SeverityError, "invalid rate while enabled"},
 		{CheckTruncated, SeverityWarning, "exploration truncated at MaxStates"},
 		{CheckInstantLivelock, SeverityError, "instantaneous-activity livelock"},
-		{CheckBoundViolation, SeverityError, "reachable marking exceeds a certified token bound"},
-		{CheckNonConservative, SeverityError, "reachable marking violates a certified conservation invariant"},
-		{CheckStiffness, SeverityWarning, "exponential rate spread exceeds the stiffness threshold"},
 	}
 }
 
@@ -174,14 +162,6 @@ type Config struct {
 	// (SAN007). Markings with a marked goal place are treated as absorbing,
 	// exactly like ExploreOptions.Absorb in the exact CTMC solver.
 	Goals []string
-	// Facts, when set, enables the facts-driven cross-checks SAN012–SAN014
-	// against a structural.ModelFacts artifact for the same model. Certified
-	// bounds and invariants (Facts.Exhaustive) are asserted on every
-	// explored marking; a violation means the structural analyzer and the
-	// explorer disagree about the model. The facts should have been
-	// computed with an absorption matching Goals — a facts walk absorbed
-	// earlier than this exploration can legitimately disagree.
-	Facts *structural.ModelFacts
 }
 
 // Report is the outcome of linting one model.
@@ -286,18 +266,11 @@ func Run(model *san.Model, cfg Config) (*Report, error) {
 	}
 	l.goalReached = make([]bool, len(l.goals))
 	l.observed = observed
-	if cfg.Facts != nil {
-		if cfg.Facts.Model != model.Name() {
-			return nil, fmt.Errorf("sanlint: facts are for model %q, linting %q", cfg.Facts.Model, model.Name())
-		}
-		l.facts = resolveFacts(model, cfg.Facts)
-	}
 
 	if err := l.explore(); err != nil {
 		return nil, err
 	}
 	l.absenceChecks()
-	l.stiffnessCheck()
 	l.normalizationChecks()
 	l.report.sortDiagnostics()
 	return l.report, nil

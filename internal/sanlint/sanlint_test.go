@@ -375,6 +375,33 @@ func TestReportJSONAndText(t *testing.T) {
 	}
 }
 
+// TestTruncationSummaryNamesSuppressedChecks pins the SAN010 message
+// listing the suppressed check IDs, so operators can see which checks were
+// cut off.
+func TestTruncationSummaryNamesSuppressedChecks(t *testing.T) {
+	rep, err := Run(cleanModel(t), Config{MaxStates: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Truncated {
+		t.Fatal("MaxStates=1 must truncate")
+	}
+	var msg string
+	for _, d := range rep.Diagnostics {
+		if d.Check == CheckTruncated {
+			msg = d.Message
+		}
+	}
+	if msg == "" {
+		t.Fatalf("want SAN010, got:\n%s", rep.Text())
+	}
+	for _, id := range []CheckID{CheckDeadPlace, CheckStuckPlace, CheckNeverEnabled, CheckGoalUnreachable} {
+		if !strings.Contains(msg, string(id)) {
+			t.Errorf("SAN010 message %q does not name suppressed check %s", msg, id)
+		}
+	}
+}
+
 func TestCatalogCoversAllDiagnosedChecks(t *testing.T) {
 	ids := make(map[CheckID]bool)
 	for _, c := range Catalog() {

@@ -13,11 +13,13 @@ import (
 
 // paperSystems builds the four DD/DC/CD/CC Table 3 variants in the reduced
 // form used by ahs-lint and the exact CTMC solver (n=1, no cumulative
-// outcome counters).
-func paperSystems(t *testing.T) []*core.AHS {
+// outcome counters), with phased (coordination + execution) maneuvers when
+// phased is set.
+func paperSystems(t *testing.T, phased bool) []*core.AHS {
 	t.Helper()
 	base := core.DefaultParams().WithPlatoonSize(1)
 	base.TrackOutcomes = false
+	base.PhasedManeuvers = phased
 	systems, err := core.BuildVariants(base, ahs.AllStrategies())
 	if err != nil {
 		t.Fatalf("building paper variants: %v", err)
@@ -25,15 +27,20 @@ func paperSystems(t *testing.T) []*core.AHS {
 	return systems
 }
 
-// TestPaperModelFactsAgreeWithExploration is the ISSUE's cross-validation
-// acceptance criterion: for all four paper models the certified per-place
-// bounds and the state-space bound must agree with exhaustive reachability
-// exploration — explored states ≤ state bound, per-place maximum tokens ≤
-// certified bound.
+// TestPaperModelFactsAgreeWithExploration is the independent oracle of
+// the facts: for the four paper models and their phased variants, the
+// certified per-place bounds, the state-space bound and the invariants
+// must agree with every state of exhaustive ctmc.Explore — explored
+// states ≤ state bound, per-place maximum tokens ≤ certified bound, every
+// invariant constant.
 func TestPaperModelFactsAgreeWithExploration(t *testing.T) {
-	for _, sys := range paperSystems(t) {
+	for _, sys := range append(paperSystems(t, false), paperSystems(t, true)...) {
 		sys := sys
-		t.Run(sys.Params.Strategy.String(), func(t *testing.T) {
+		name := sys.Params.Strategy.String()
+		if sys.Params.PhasedManeuvers {
+			name = "phased-" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			facts, err := structural.Analyze(sys.Model, structural.Options{
 				MaxStates: 50_000,
 				Absorb:    sys.Unsafe,
@@ -146,7 +153,7 @@ func evalInvariant(t *testing.T, model *san.Model, inv structural.Invariant, mk 
 // genuine property of the models — it is exactly why the paper needs
 // importance sampling for the Monte Carlo study.
 func TestPaperModelStiffness(t *testing.T) {
-	for _, sys := range paperSystems(t) {
+	for _, sys := range paperSystems(t, false) {
 		facts, err := structural.Analyze(sys.Model, structural.Options{
 			MaxStates: 50_000,
 			Absorb:    sys.Unsafe,
@@ -170,7 +177,7 @@ func TestPaperModelStiffness(t *testing.T) {
 // lanes·n); symmetry across slots is reported when the observed structure
 // is identical.
 func TestPaperModelReplicaFacts(t *testing.T) {
-	sys := paperSystems(t)[0]
+	sys := paperSystems(t, false)[0]
 	facts, err := structural.Analyze(sys.Model, structural.Options{
 		MaxStates: 50_000,
 		Absorb:    sys.Unsafe,

@@ -2,6 +2,7 @@ package structural
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -252,8 +253,54 @@ func (p *prober) colLabel(c column) string {
 	return label
 }
 
-// facts assembles the ModelFacts artifact from the finished walk.
-func (p *prober) facts() *ModelFacts {
+// checkAlgebra refuses semiflow algebra that the walk it was derived from
+// contradicts: a P-semiflow that a recorded incidence column changes, or
+// a semiflow bound below the token count the walk observed. Every kept
+// state is the initial marking plus recorded columns, so neither can
+// happen while the elimination is sound; a contradiction is a defect of
+// this package, not of the model.
+func (p *prober) checkAlgebra(semis [][]int, bounds []int) error {
+	for _, y := range semis {
+		for _, c := range p.cols {
+			change := 0
+			for i, d := range c.delta {
+				change += y[i] * d
+			}
+			if change != 0 {
+				return fmt.Errorf("structural: %s: P-semiflow %s changes by %d when %s fires",
+					p.model.Name(), p.semiflowLabel(y), change, p.colLabel(c))
+			}
+		}
+	}
+	for i, b := range bounds {
+		if b >= 0 && b < p.observedMax[i] {
+			return fmt.Errorf("structural: %s: semiflow bound %d of %s is below its observed maximum %d",
+				p.model.Name(), b, p.dimNames[i], p.observedMax[i])
+		}
+	}
+	return nil
+}
+
+// semiflowLabel renders a P-semiflow as its weighted sum, "1*A + 2*B".
+func (p *prober) semiflowLabel(y []int) string {
+	var terms []string
+	for i, c := range y {
+		if c != 0 {
+			terms = append(terms, strconv.Itoa(c)+"*"+p.dimNames[i])
+		}
+	}
+	return strings.Join(terms, " + ")
+}
+
+// facts assembles the ModelFacts artifact from the finished walk, once
+// checkAlgebra has accepted the semiflows.
+func (p *prober) facts() (*ModelFacts, error) {
+	semis := pSemiflows(p.cols, p.dims, p.maxRows)
+	bounds := semiflowBounds(semis, p.initVec, p.dims)
+	if err := p.checkAlgebra(semis, bounds); err != nil {
+		return nil, err
+	}
+
 	exhaustive := !p.reach.Truncated
 	f := &ModelFacts{
 		Model:             p.model.Name(),
@@ -265,23 +312,16 @@ func (p *prober) facts() *ModelFacts {
 	if exhaustive {
 		f.StateSpaceBound = strconv.Itoa(p.reach.States)
 	}
-
-	semis := pSemiflows(p.cols, p.dims, p.maxRows)
-	bounds := semiflowBounds(semis, p.initVec, p.dims)
 	f.Invariants = renderInvariants(semis, p.initVec, p.dimNames)
 	f.TSemiflows = tSemiflowFacts(p)
 
 	f.Places = make([]PlaceFact, p.dims)
 	for i := 0; i < p.dims; i++ {
 		// Only an exhaustive walk certifies anything: the observed
-		// supremum is then exact, and the semiflow bound (complete
-		// incidence columns) can only confirm it.
+		// supremum is then exact.
 		certified := -1
 		if exhaustive {
 			certified = p.observedMax[i]
-			if b := bounds[i]; b >= 0 && b < certified {
-				certified = b
-			}
 		}
 		f.Places[i] = PlaceFact{
 			Name:           p.dimNames[i],
@@ -298,7 +338,7 @@ func (p *prober) facts() *ModelFacts {
 		f.ConstantGates = p.constantGates()
 		f.DeadArcs = p.deadArcs()
 	}
-	return f
+	return f, nil
 }
 
 func (p *prober) stiffness() StiffnessFact {

@@ -21,10 +21,14 @@
 // describe only the explored prefix (Exhaustive is false) and downstream
 // consumers must not treat them as certified.
 //
-// The result is the serializable ModelFacts artifact consumed by
-// internal/sanlint (SAN012–SAN014 cross-checks) and cmd/ahs-lint (-facts
-// JSON output with committed goldens). See docs/linting.md for the JSON
-// schema.
+// Before it reports anything, Analyze checks the semiflow algebra against
+// its own walk: every P-semiflow must leave every recorded incidence
+// column unchanged, and no semiflow bound may fall below a token count the
+// walk observed. Facts that fail this check are an error, not a result.
+//
+// The result is the serializable ModelFacts artifact that cmd/ahs-lint
+// prints (-facts JSON output with a committed golden). See
+// docs/linting.md for the JSON schema.
 package structural
 
 import (
@@ -91,15 +95,15 @@ type PlaceFact struct {
 	// ObservedMax is the largest token count seen during the probe walk
 	// (the exact bound when Exhaustive).
 	ObservedMax int `json:"observedMax"`
-	// CertifiedBound is the tightest certified token bound: the exact
-	// supremum from an exhaustive walk, tightened against the semiflow
-	// bound; -1 when nothing is certified (truncated walk).
+	// CertifiedBound is the certified token bound: the exact supremum
+	// from an exhaustive walk; -1 when nothing is certified (truncated
+	// walk).
 	CertifiedBound int `json:"certifiedBound"`
 	// InvariantBound is the bound derived purely algebraically from the
 	// P-semiflows, min over covering flows y of floor(y·M0 / y_p); -1 when
 	// no semiflow covers the place. It is certified only alongside
-	// Exhaustive (the incidence columns are complete then) and is always
-	// ≥ ObservedMax in that case.
+	// Exhaustive (the incidence columns are complete then). Analyze
+	// refuses facts in which it is below ObservedMax.
 	InvariantBound int `json:"invariantBound"`
 }
 
@@ -195,7 +199,8 @@ type ModelFacts struct {
 // Analyze probes the model's bounded marking graph and derives the
 // structural facts. The returned error reports an unanalyzable model (a
 // marking function panicking or producing invalid weights during the
-// probe); use internal/sanlint to diagnose such defects.
+// probe; use internal/sanlint to diagnose such defects) or semiflow
+// algebra that the probe walk contradicts.
 func Analyze(model *san.Model, opts Options) (*ModelFacts, error) {
 	return analyzeCapped(model, opts, maxEliminationRows)
 }
@@ -209,5 +214,5 @@ func analyzeCapped(model *san.Model, opts Options, maxRows int) (*ModelFacts, er
 	if err := p.walk(); err != nil {
 		return nil, fmt.Errorf("structural: %w (run sanlint to diagnose)", err)
 	}
-	return p.facts(), nil
+	return p.facts()
 }

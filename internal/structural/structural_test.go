@@ -117,6 +117,31 @@ func TestTruncatedWalkCertifiesNothing(t *testing.T) {
 	}
 }
 
+// TestWalkContradictionsRefused feeds the self-check semiflow algebra
+// that its walk contradicts, as an unsound elimination would produce it:
+// a P-semiflow that a recorded column changes, and a semiflow bound below
+// an observed maximum. Both are refused; the sound algebra passes.
+func TestWalkContradictionsRefused(t *testing.T) {
+	p := &prober{
+		model:       ring(t, 2),
+		dimNames:    []string{"A", "B"},
+		variants:    map[string]int{"ab|0": 1},
+		cols:        []column{{activity: "ab", delta: []int{-1, 1}}},
+		observedMax: []int{2, 2},
+	}
+	if err := p.checkAlgebra([][]int{{1, 1}}, []int{2, 2}); err != nil {
+		t.Fatalf("sound algebra refused: %v", err)
+	}
+	err := p.checkAlgebra([][]int{{1, 0}}, []int{2, -1})
+	if err == nil || !strings.Contains(err.Error(), "P-semiflow 1*A changes by -1 when ab/0 fires") {
+		t.Errorf("semiflow changed by a column: err = %v", err)
+	}
+	err = p.checkAlgebra([][]int{{1, 1}}, []int{1, 2})
+	if err == nil || !strings.Contains(err.Error(), "semiflow bound 1 of A is below its observed maximum 2") {
+		t.Errorf("bound below the observed maximum: err = %v", err)
+	}
+}
+
 func TestConstantGateDetection(t *testing.T) {
 	b := san.NewBuilder("gates")
 	mode := b.Place("mode", 1) // never written: gates on it are constant
