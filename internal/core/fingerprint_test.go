@@ -33,6 +33,8 @@ var fingerprintDigests = map[string]string{
 	"CC/n=2/phased":    "4c22403bdc06a609",
 	"CC/n=10":          "bfad0da191682872",
 	"CC/n=10/phased":   "d68f36ac9f06142d",
+	"DD/n=12":          "7f5ea3a9c466b132",
+	"CC/n=12":          "7bea05d20c1892ae",
 	"DD/n=10/naive":    "c9583bba156a3c02",
 	"DD/n=10/adaptive": "b0368732b2ce58e5",
 	"DD/n=10/restart":  "4605015a8646f8b2",
@@ -77,8 +79,9 @@ func runFromInitial(r *sim.Runner, s *rng.Stream, p *sim.Probe) (sim.Result, err
 
 // TestTrajectoryFingerprint hashes the trajectories of every strategy at
 // n ∈ {2, 10}, single-phase and phased, under the suggested failure bias,
-// plus an unbiased run, a marking-dependent bias and restarts from a
-// captured mid-trajectory marking (the path rare-event splitting takes).
+// plus DD and CC at n=12, an unbiased run, a marking-dependent bias and
+// restarts from a captured mid-trajectory marking (the path rare-event
+// splitting takes).
 func TestTrajectoryFingerprint(t *testing.T) {
 	got := make(map[string]string)
 	for _, s := range platoon.AllStrategies() {
@@ -98,6 +101,16 @@ func TestTrajectoryFingerprint(t *testing.T) {
 				got[name] = fingerprintRuns(t, a, bias, runFromInitial)
 			}
 		}
+	}
+
+	// n=12's 197 timed activities take a fourth word in every bitset.
+	for _, s := range []platoon.Strategy{platoon.DD, platoon.CC} {
+		a := MustBuild(DefaultParams().WithStrategy(s).WithPlatoonSize(12))
+		bias, err := a.failureBiasSpec(a.SuggestedFailureBias(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[fmt.Sprintf("%s/n=12", s)] = fingerprintRuns(t, a, bias, runFromInitial)
 	}
 
 	a := MustBuild(DefaultParams())
