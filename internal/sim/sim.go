@@ -22,21 +22,24 @@
 // and biased rate (0 while disabled) and keeps a san.AccessObserver on its
 // marking for the whole run. The observer queues every place a completion
 // or its instantaneous closure writes, and while the Runner evaluates an
-// activity it records the places that activity's predicate, rate and bias
-// factor read. Before each draw the Runner re-evaluates, in ascending index
-// order, only the activities whose latest evaluation read a written place,
-// and each evaluation replaces the activity's read set. Predicates, rates
-// and factors are deterministic functions of the marking read through its
-// accessors (see san.Predicate): an evaluation whose read places all hold
-// their old values takes the same path and returns the same value, and a
-// first read of a new place can only follow a change to a place already
-// read, which triggers the evaluation that records it. Each run starts from
-// the previous run's cache and queues the places where its start marking
-// differs from that run's end. The cached rates are summed in
-// activity-index order, which keeps every trajectory and likelihood ratio
-// bit-identical to a full rescan of all activities in every marking — the
-// dependency graph of Gibson & Bruck's next-reaction method, without its
-// clocks.
+// activity it adds that activity to the reader set of each place its
+// predicate, rate and bias factor read. Before each draw the Runner moves
+// the whole reader set of every written place into the set of activities to
+// re-evaluate, empties it, and re-evaluates those activities in ascending
+// index order: a reader set is consumed by the write it answers, and the
+// re-evaluations refill it. Predicates, rates and factors are deterministic
+// functions of the marking read through its accessors (see san.Predicate):
+// an evaluation whose read places all hold their old values takes the same
+// path and returns the same value, and a first read of a new place can only
+// follow a change to a place already read, which triggers the evaluation
+// that records it. An activity that stopped reading a place stays in its
+// reader set until that place's next write, which costs it one evaluation
+// more. Each run starts from the previous run's cache and queues the places
+// where its start marking differs from that run's end. The cached rates are
+// summed in activity-index order, which keeps every trajectory and
+// likelihood ratio bit-identical to a full rescan of all activities in
+// every marking — the dependency graph of Gibson & Bruck's next-reaction
+// method, without its clocks.
 package sim
 
 import (
@@ -308,7 +311,8 @@ type Runner struct {
 	cumRates, cumBiased []float64
 	stale               int
 	// dirty is the bitset of activities to re-evaluate before the next
-	// draw, over activity indices.
+	// draw, over activity indices: refresh moves the reader set of every
+	// written place into it, consuming that set.
 	dirty []uint64
 	track tracker
 	// changedPlaces and changedExts are RunFrom's buffers for the places
@@ -318,76 +322,44 @@ type Runner struct {
 	// firings counts each timed activity's completions in the current
 	// trajectory; it is nil without Options.Sink.
 	firings []uint64
+	// next is RunFrom's index of each probe's next unfilled time.
+	next []int
 }
 
 // tracker is the san.AccessObserver a Runner keeps attached to its marking
 // during a run. It numbers places as slots, simple places first and then
 // extended places from slot exts. Every write queues the written slot for
-// the next refresh; a read is recorded only while an activity is being
-// evaluated, against that activity.
+// the next refresh; a read adds the activity being evaluated to the slot's
+// reader set.
 type tracker struct {
 	// readers holds one bitset of words uint64s per slot: the activities
-	// whose latest evaluation read the slot.
+	// evaluated since the slot was last written whose evaluation read it.
+	// refresh empties a written slot's set into the dirty activities.
 	readers []uint64
 	words   int
 	exts    int
-	// reads[i] lists the slots activity i's latest evaluation read, each
-	// once. The lists start with readRoom slots each, carved from one
-	// array; append moves a list that outgrows it to its own.
-	reads [][]int32
-	// cur, word and bit locate the activity being evaluated, and list
-	// collects its reads until end stores it as reads[cur]; bit is 0
-	// outside evaluations.
-	cur  int
+	// word and bit locate the activity being evaluated; bit is 0 outside
+	// evaluations, so other reads add nothing.
 	word int
 	bit  uint64
-	list []int32
 	// pending lists the slots written since the last refresh, each once;
 	// queued marks them.
 	pending []int32
 	queued  []bool
 }
 
-// readRoom is the initial room of a read list. Most timed activities of the
-// paper's models read 2 or 3 places per evaluation; the lane-changing and
-// leaving ones read up to 12, so their lists grow once per Runner.
-const readRoom = 8
-
 func (t *tracker) ReadPlace(p san.PlaceID)        { t.read(int(p)) }
 func (t *tracker) ReadExtPlace(p san.ExtPlaceID)  { t.read(t.exts + int(p)) }
 func (t *tracker) WritePlace(p san.PlaceID)       { t.write(int(p)) }
 func (t *tracker) WriteExtPlace(p san.ExtPlaceID) { t.write(t.exts + int(p)) }
 
-func (t *tracker) read(s int) {
-	if t.bit == 0 {
-		return
-	}
-	if w := &t.readers[s*t.words+t.word]; *w&t.bit == 0 {
-		*w |= t.bit
-		t.list = append(t.list, int32(s))
-	}
-}
+func (t *tracker) read(s int) { t.readers[s*t.words+t.word] |= t.bit }
 
 func (t *tracker) write(s int) {
 	if !t.queued[s] {
 		t.queued[s] = true
 		t.pending = append(t.pending, int32(s))
 	}
-}
-
-// begin forgets what activity i's latest evaluation read and records its
-// next one, until end.
-func (t *tracker) begin(i int) {
-	t.cur, t.word, t.bit = i, i>>6, 1<<(i&63)
-	for _, s := range t.reads[i] {
-		t.readers[int(s)*t.words+t.word] &^= t.bit
-	}
-	t.list = t.reads[i][:0]
-}
-
-func (t *tracker) end() {
-	t.reads[t.cur] = t.list
-	t.bit = 0
 }
 
 // NewRunner validates options and returns a Runner for the model.
@@ -426,18 +398,12 @@ func NewRunner(model *san.Model, opts Options) (*Runner, error) {
 	slots := model.NumPlaces() + model.NumExtPlaces()
 	sets := make([]uint64, (slots+1)*words)
 	r.dirty = sets[:words:words]
-	room := min(slots, readRoom)
-	lists := make([]int32, n*room+slots)
 	r.track = tracker{
 		readers: sets[words:],
 		words:   words,
 		exts:    model.NumPlaces(),
-		reads:   make([][]int32, n),
-		pending: lists[n*room:][:0],
+		pending: make([]int32, 0, slots),
 		queued:  make([]bool, slots),
-	}
-	for i := range r.track.reads {
-		r.track.reads[i] = lists[i*room : i*room : (i+1)*room]
 	}
 	r.dirtyAll()
 	if opts.Sink != nil {
@@ -455,15 +421,15 @@ func (r *Runner) dirtyAll() {
 
 // refresh brings rates and biased up to date with the current marking and
 // returns their sums in activity-index order: the original and biased
-// total rates. It re-evaluates only the activities whose latest evaluation
-// read a place written since, and re-accumulates the running sums only
-// from the first activity whose rates changed: adding the same values in
-// the same order gives the same sums.
+// total rates. It re-evaluates only the readers of the places written
+// since, and re-accumulates the running sums only from the first activity
+// whose rates changed: adding the same values in the same order gives the
+// same sums.
 func (r *Runner) refresh() (total, biasedTotal float64, err error) {
 	t := &r.track
 	for _, s := range t.pending {
 		t.queued[s] = false
-		r.markReaders(int(s))
+		r.takeReaders(int(s))
 	}
 	t.pending = t.pending[:0]
 	if err := r.evalDirty(); err != nil {
@@ -474,10 +440,16 @@ func (r *Runner) refresh() (total, biasedTotal float64, err error) {
 	n := len(r.rates)
 	if i := r.stale; i < n {
 		total, biasedTotal = r.cumRates[i], r.cumBiased[i]
-		for ; i < n; i++ {
-			total += r.rates[i]
-			biasedTotal += r.biased[i]
-			r.cumRates[i+1], r.cumBiased[i+1] = total, biasedTotal
+		// Local slices of one length keep the loop free of bounds checks
+		// and of reloads of the Runner's fields.
+		rates := r.rates[i:]
+		biased := r.biased[i:][:len(rates)]
+		cumRates := r.cumRates[i+1:][:len(rates)]
+		cumBiased := r.cumBiased[i+1:][:len(rates)]
+		for j, rate := range rates {
+			total += rate
+			biasedTotal += biased[j]
+			cumRates[j], cumBiased[j] = total, biasedTotal
 		}
 		r.stale = n
 	}
@@ -516,31 +488,38 @@ func (r *Runner) draw(stream *rng.Stream, biasedTotal float64) int {
 	return i
 }
 
-// markReaders adds every activity whose latest evaluation read slot s to
-// dirty.
-func (r *Runner) markReaders(s int) {
+// takeReaders moves slot s's reader set into dirty and empties it: the
+// activities that read s must be re-evaluated, and their evaluations record
+// their reads afresh.
+func (r *Runner) takeReaders(s int) {
 	w := r.track.words
-	for i, set := range r.track.readers[s*w : (s+1)*w] {
-		r.dirty[i] |= set
+	set := r.track.readers[s*w : (s+1)*w]
+	dirty := r.dirty[:len(set)]
+	for i, x := range set {
+		dirty[i] |= x
+		set[i] = 0
 	}
 }
 
 // evalDirty re-evaluates the dirty activities in ascending index order, so
 // an invalid rate names the same activity a full scan would, and clears
-// them.
+// them. While activity i is evaluated, the tracker adds it to the reader
+// set of every place it reads.
 func (r *Runner) evalDirty() error {
+	t := &r.track
 	for w, word := range r.dirty {
 		r.dirty[w] = 0
+		t.word = w
 		for ; word != 0; word &= word - 1 {
-			i := w<<6 | bits.TrailingZeros64(word)
-			r.track.begin(i)
-			err := r.eval(i)
-			r.track.end()
+			t.bit = word & -word
+			err := r.eval(w<<6 | bits.TrailingZeros64(word))
 			if err != nil {
+				t.bit = 0
 				return err
 			}
 		}
 	}
+	t.bit = 0
 	return nil
 }
 
@@ -611,7 +590,8 @@ func (r *Runner) RunFrom(start *san.Marking, t0 float64, stream *rng.Stream, pro
 	}
 	r.marking.SetObserver(&r.track)
 	defer r.endRun()
-	next := make([]int, len(probes)) // next unfilled time index per probe
+	r.next = append(r.next[:0], make([]int, len(probes))...)
+	next := r.next // next unfilled time index per probe
 
 	t := t0
 	logLR := 0.0

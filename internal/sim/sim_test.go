@@ -856,40 +856,33 @@ type callLog struct {
 
 func (l *callLog) OnEvent(float64, string, *san.Marking) { l.before = append(l.before, *l.calls) }
 
-func TestReadSetIsTheLatestEvaluations(t *testing.T) {
-	// Four activities fire in a fixed order, one per phase: dropA, writeB,
-	// raiseA, writeB. The watched predicate reads B only while A > 0, so
-	// the first write to B, made while A = 0, must not re-evaluate it; the
-	// second, made after A returned to 1, must. Before B it reads enough
-	// other places to outgrow a read list's initial room.
+func TestStaleReaderReevaluatesOnce(t *testing.T) {
+	// Five activities fire in a fixed order, one per phase: dropA, writeB,
+	// writeB, raiseA, writeB. The watched predicate reads B only while
+	// A > 0. After dropA it no longer reads B but is still in B's reader
+	// set, so the first write to B re-evaluates it once; that evaluation
+	// does not read B, so the second write must not. After raiseA it reads
+	// B again, and the third write must re-evaluate it.
 	var watchCalls int
-	b := san.NewBuilder("latest")
+	b := san.NewBuilder("stale")
 	a := b.Place("A", 1)
-	var others []san.PlaceID
-	for k := 0; k < 2*readRoom; k++ {
-		others = append(others, b.Place(fmt.Sprintf("other%d", k), 0))
-	}
 	bp := b.Place("B", 0)
 	phase := b.Place("phase", 0)
 	b.Timed(san.TimedActivity{
 		Name: "watch",
 		Enabled: func(mk *san.Marking) bool {
 			watchCalls++
-			if mk.Tokens(a) == 0 {
-				return false
-			}
-			for _, p := range others {
-				mk.Tokens(p)
-			}
-			return mk.Tokens(bp) > 1000
+			return mk.Tokens(a) > 0 && mk.Tokens(bp) > 1000
 		},
 		Rate: san.ConstRate(1),
 	})
+	writeB := func(mk *san.Marking) { mk.Add(bp, 1) }
 	for k, set := range []san.Effect{
 		func(mk *san.Marking) { mk.SetTokens(a, 0) },
-		func(mk *san.Marking) { mk.Add(bp, 1) },
+		writeB,
+		writeB,
 		func(mk *san.Marking) { mk.SetTokens(a, 1) },
-		func(mk *san.Marking) { mk.Add(bp, 1) },
+		writeB,
 	} {
 		b.Timed(san.TimedActivity{
 			Name:    fmt.Sprintf("step%d", k),
@@ -909,16 +902,16 @@ func TestReadSetIsTheLatestEvaluations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Steps != 4 || !res.Deadlocked {
-		t.Fatalf("run made %d steps (deadlocked %v), want the 4 phases", res.Steps, res.Deadlocked)
+	if res.Steps != 5 || !res.Deadlocked {
+		t.Fatalf("run made %d steps (deadlocked %v), want the 5 phases", res.Steps, res.Deadlocked)
 	}
 	after := append(log.before[1:], watchCalls)
 	var got []int
 	for j := range after {
 		got = append(got, after[j]-log.before[j])
 	}
-	if want := []int{1, 0, 1, 1}; !slices.Equal(got, want) {
-		t.Fatalf("watch re-evaluations after dropA, writeB, raiseA, writeB = %v, want %v", got, want)
+	if want := []int{1, 1, 0, 1, 1}; !slices.Equal(got, want) {
+		t.Fatalf("watch re-evaluations after dropA, writeB, writeB, raiseA, writeB = %v, want %v", got, want)
 	}
 }
 
