@@ -277,12 +277,15 @@ func (a *AHS) LaneSizes(mk *san.Marking) []int {
 
 // View builds the platoon.View of a marking, used for participant
 // computation and exposed for tests and diagnostics.
-func (a *AHS) View(mk *san.Marking) platoon.View {
-	platoons := make([][]int, len(a.lanes))
-	for i, lane := range a.lanes {
-		platoons[i] = mk.Ext(lane)
+func (a *AHS) View(mk *san.Marking) platoon.View { return a.viewInto(nil, mk) }
+
+// viewInto is View with its lanes appended to the caller's buffer; the
+// lanes alias the marking's extended places.
+func (a *AHS) viewInto(lanes [][]int, mk *san.Marking) platoon.View {
+	for _, lane := range a.lanes {
+		lanes = append(lanes, mk.Ext(lane))
 	}
-	return platoon.View{Platoons: platoons}
+	return platoon.View{Platoons: lanes}
 }
 
 // CheckInvariants verifies structural invariants of a marking reached

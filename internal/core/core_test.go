@@ -628,6 +628,27 @@ func TestManeuverSuccessParticipantFailure(t *testing.T) {
 	}
 }
 
+func TestManeuverSuccessProbAllocatesNothing(t *testing.T) {
+	// Every maneuver case weight computes the participant set. A
+	// centralized escorted exit (TIE-E) from the back of a full n=10
+	// platoon involves the nine vehicles ahead and the neighbouring
+	// leader, one of them degraded.
+	p := DefaultParams().WithStrategy(platoon.CC)
+	a := MustBuild(p)
+	mk := a.Model.InitialMarking()
+	a.applyFailure(mk, 9, platoon.FM4)
+	a.applyFailure(mk, 3, platoon.FM6)
+	want := (1 - p.ManeuverBaseFailure) * (math.Pow(1-p.ParticipantFailure, 10) * p.DegradedPenalty)
+	var got float64
+	allocs := testing.AllocsPerRun(100, func() { got = a.maneuverSuccessProb(mk, 9) })
+	if got != want {
+		t.Fatalf("success prob %v, want %v", got, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("maneuverSuccessProb made %v allocations per call, want 0", allocs)
+	}
+}
+
 func BenchmarkTrajectoryDefaultParams(b *testing.B) {
 	p := DefaultParams()
 	p.Lambda = 1e-5

@@ -510,10 +510,15 @@ func (a *AHS) maneuverSuccessProb(mk *san.Marking, i int) float64 {
 }
 
 // coordinationSuccessProb is the participant-dependent part of the success
-// probability: (1-q)^|participants|·penalty^degraded.
+// probability: (1-q)^|participants|·penalty^degraded. It runs on every
+// maneuver case weight, so its view and participant set live in stack
+// buffers; the product depends only on the set's size and degraded count,
+// not on its order.
 func (a *AHS) coordinationSuccessProb(mk *san.Marking, i int) float64 {
+	var lanes [4][]int
+	var buf [16]int
 	m := platoon.Maneuver(mk.Tokens(a.man[i]))
-	parts, err := platoon.Participants(a.View(mk), i, m, a.Params.Strategy)
+	parts, err := platoon.Participants(buf[:0], a.viewInto(lanes[:0], mk), i, m, a.Params.Strategy)
 	if err != nil {
 		// Reached only on an internal invariant violation: a maneuver
 		// active on a vehicle missing from both platoons.

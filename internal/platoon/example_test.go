@@ -18,7 +18,7 @@ func ExampleParticipants() {
 		},
 	}
 	for _, strategy := range []platoon.Strategy{platoon.DD, platoon.CD} {
-		parts, err := platoon.Participants(view, 4, platoon.TIEE, strategy)
+		parts, err := platoon.Participants(nil, view, 4, platoon.TIEE, strategy)
 		if err != nil {
 			fmt.Println("error:", err)
 			return

@@ -10,6 +10,7 @@ package platoon
 
 import (
 	"fmt"
+	"slices"
 )
 
 // FailureMode is one of the six single-vehicle failure modes of Table 1.
@@ -448,15 +449,18 @@ func (v View) Locate(id int) (platoonIdx, pos int, ok bool) {
 // When the faulty vehicle occupies the leader position, the "leader"
 // participant is the vehicle that will take over the position (position 1).
 // Referenced vehicles that do not exist (no vehicle ahead/behind, empty
-// neighbouring platoon) are simply absent from the set. The returned ids
-// are unique and in no particular order.
-func Participants(v View, vehicle int, m Maneuver, s Strategy) ([]int, error) {
+// neighbouring platoon) are simply absent from the set.
+//
+// Participants appends the set's ids to dst, each once and in no particular
+// order, and returns the extended slice, like append: a caller that passes
+// a buffer with room for them allocates nothing.
+func Participants(dst []int, v View, vehicle int, m Maneuver, s Strategy) ([]int, error) {
 	if !m.Valid() {
-		return nil, fmt.Errorf("platoon: invalid maneuver %d", int(m))
+		return dst, fmt.Errorf("platoon: invalid maneuver %d", int(m))
 	}
 	pi, pos, ok := v.Locate(vehicle)
 	if !ok {
-		return nil, fmt.Errorf("platoon: vehicle %d not in any platoon", vehicle)
+		return dst, fmt.Errorf("platoon: vehicle %d not in any platoon", vehicle)
 	}
 	members := v.Platoons[pi]
 	// The neighbouring platoon is the one in the adjacent lane; exits lead
@@ -469,10 +473,10 @@ func Participants(v View, vehicle int, m Maneuver, s Strategy) ([]int, error) {
 		other = v.Platoons[pi+1]
 	}
 
-	set := make(map[int]bool)
+	start := len(dst)
 	addID := func(id int) {
-		if id != vehicle {
-			set[id] = true
+		if id != vehicle && !slices.Contains(dst[start:], id) {
+			dst = append(dst, id)
 		}
 	}
 	addAt := func(list []int, idx int) {
@@ -533,9 +537,5 @@ func Participants(v View, vehicle int, m Maneuver, s Strategy) ([]int, error) {
 		}
 	}
 
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	return out, nil
+	return dst, nil
 }

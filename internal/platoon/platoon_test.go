@@ -211,7 +211,7 @@ func testView(p1, p2 []int) View {
 
 func sortedParticipants(t *testing.T, v View, vehicle int, m Maneuver, s Strategy) []int {
 	t.Helper()
-	got, err := Participants(v, vehicle, m, s)
+	got, err := Participants(nil, v, vehicle, m, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +351,11 @@ func TestParticipantsCentralizedSupersetProperty(t *testing.T) {
 	v := testView(p1, p2)
 	for _, vehicle := range p1 {
 		for _, m := range AllManeuvers() {
-			dec, err := Participants(v, vehicle, m, DD)
+			dec, err := Participants(nil, v, vehicle, m, DD)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cen, err := Participants(v, vehicle, m, CC)
+			cen, err := Participants(nil, v, vehicle, m, CC)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,7 +381,7 @@ func TestParticipantsExcludeSelfAndExist(t *testing.T) {
 	for _, vehicle := range p1 {
 		for _, m := range AllManeuvers() {
 			for _, s := range AllStrategies() {
-				parts, err := Participants(v, vehicle, m, s)
+				parts, err := Participants(nil, v, vehicle, m, s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -441,10 +441,10 @@ func TestParticipantsEdgeSingletons(t *testing.T) {
 
 func TestParticipantsErrors(t *testing.T) {
 	v := testView([]int{10}, nil)
-	if _, err := Participants(v, 99, TIE, DD); err == nil {
+	if _, err := Participants(nil, v, 99, TIE, DD); err == nil {
 		t.Fatal("expected error for unknown vehicle")
 	}
-	if _, err := Participants(v, 10, Maneuver(0), DD); err == nil {
+	if _, err := Participants(nil, v, 10, Maneuver(0), DD); err == nil {
 		t.Fatal("expected error for invalid maneuver")
 	}
 }
