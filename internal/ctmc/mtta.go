@@ -48,6 +48,11 @@ func (g *Graph) canReach(target []bool) []bool {
 	return reached
 }
 
+// maxDirectUnknowns is the largest number of transient states whose mean
+// times MeanTimeTo solves by dense elimination; the matrix then takes at
+// most 32 MiB.
+const maxDirectUnknowns = 2048
+
 // MeanTimeTo returns the expected time until the chain first enters a state
 // satisfying pred, starting from the initial state. It returns +Inf when
 // the chain can wander into a subgraph from which the target is
@@ -55,11 +60,14 @@ func (g *Graph) canReach(target []bool) []bool {
 // ErrUnreachableTarget when the target cannot be reached at all.
 //
 // The linear system t_i = 1/E_i + Σ_j P_ij·t_j over transient states is
-// solved by Gauss-Seidel iteration to solveTol relative, within maxSweeps
-// sweeps.
-func (g *Graph) MeanTimeTo(pred san.Predicate) (float64, error) { return g.meanTimeTo(pred, maxSweeps) }
+// solved by Gaussian elimination with partial pivoting when it has at most
+// maxDirectUnknowns unknowns, which stiff chains need, and otherwise by
+// Gauss-Seidel iteration to solveTol relative, within maxSweeps sweeps.
+func (g *Graph) MeanTimeTo(pred san.Predicate) (float64, error) {
+	return g.meanTimeTo(pred, maxDirectUnknowns, maxSweeps)
+}
 
-func (g *Graph) meanTimeTo(pred san.Predicate, maxIter int) (float64, error) {
+func (g *Graph) meanTimeTo(pred san.Predicate, maxDirect, maxIter int) (float64, error) {
 	n := len(g.States)
 	target := make([]bool, n)
 	anyTarget := false
@@ -85,7 +93,33 @@ func (g *Graph) meanTimeTo(pred san.Predicate, maxIter int) (float64, error) {
 	if g.reachableCanMiss(target, reach) {
 		return math.Inf(1), nil
 	}
+	t, err := g.meanTimes(target, maxDirect, maxIter)
+	if err != nil {
+		return 0, err
+	}
+	return t[g.Initial], nil
+}
 
+// meanTimes returns every state's mean time to the target (0 on it),
+// solving directly when there are at most maxDirect transient states and
+// by at most maxIter Gauss-Seidel sweeps otherwise.
+func (g *Graph) meanTimes(target []bool, maxDirect, maxIter int) ([]float64, error) {
+	unknowns := 0
+	for s, isTarget := range target {
+		if isTarget {
+			continue
+		}
+		if g.exitRate[s] == 0 {
+			// Deadlock outside the target: unreachable branch, since
+			// reachableCanMiss returned false.
+			return nil, fmt.Errorf("ctmc: transient deadlock state %d", s)
+		}
+		unknowns++
+	}
+	if unknowns <= maxDirect {
+		return g.meanTimesDirect(target, unknowns)
+	}
+	n := len(g.States)
 	t := make([]float64, n)
 	for iter := 0; iter < maxIter; iter++ {
 		maxDelta := 0.0
@@ -93,19 +127,13 @@ func (g *Graph) meanTimeTo(pred san.Predicate, maxIter int) (float64, error) {
 			if target[s] {
 				continue
 			}
-			exit := g.exitRate[s]
-			if exit == 0 {
-				// Deadlock outside the target: unreachable branch, since
-				// reachableCanMiss returned false.
-				return 0, fmt.Errorf("ctmc: transient deadlock state %d", s)
-			}
 			sum := 0.0
 			for _, a := range g.rows[s] {
 				if !target[a.To] {
 					sum += a.Rate * t[a.To]
 				}
 			}
-			next := (1 + sum) / exit
+			next := (1 + sum) / g.exitRate[s]
 			delta := math.Abs(next - t[s])
 			if rel := math.Abs(next); rel > 1 {
 				delta /= rel
@@ -116,10 +144,78 @@ func (g *Graph) meanTimeTo(pred san.Predicate, maxIter int) (float64, error) {
 			t[s] = next
 		}
 		if maxDelta < solveTol {
-			return t[g.Initial], nil
+			return t, nil
 		}
 	}
-	return 0, fmt.Errorf("%w: mean time to target after %d sweeps", ErrNotConverged, maxIter)
+	return nil, fmt.Errorf("%w: mean time to target after %d sweeps", ErrNotConverged, maxIter)
+}
+
+// meanTimesDirect solves E_s·t_s − Σ_j r_sj·t_j = 1 over the m transient
+// states s (j ranging over transient states too) by Gaussian elimination
+// with partial pivoting on a dense m×m matrix, skipping the zero entries
+// that the chain's sparsity leaves below the pivots.
+func (g *Graph) meanTimesDirect(target []bool, m int) ([]float64, error) {
+	col := make([]int, len(g.States)) // unknown of each transient state
+	states := make([]int, 0, m)       // state of each unknown
+	for s, isTarget := range target {
+		if !isTarget {
+			col[s] = len(states)
+			states = append(states, s)
+		}
+	}
+	a := make([]float64, m*m)
+	b := make([]float64, m)
+	for k, s := range states {
+		row := a[k*m : (k+1)*m]
+		row[k] += g.exitRate[s]
+		for _, arc := range g.rows[s] {
+			if !target[arc.To] {
+				row[col[arc.To]] -= arc.Rate
+			}
+		}
+		b[k] = 1
+	}
+	for c := 0; c < m; c++ {
+		p := c
+		for r := c + 1; r < m; r++ {
+			if math.Abs(a[r*m+c]) > math.Abs(a[p*m+c]) {
+				p = r
+			}
+		}
+		if a[p*m+c] == 0 {
+			return nil, fmt.Errorf("ctmc: singular mean-time system at state %d", states[c])
+		}
+		pivot := a[c*m : (c+1)*m]
+		if p != c {
+			other := a[p*m : (p+1)*m]
+			for k := c; k < m; k++ {
+				pivot[k], other[k] = other[k], pivot[k]
+			}
+			b[c], b[p] = b[p], b[c]
+		}
+		for r := c + 1; r < m; r++ {
+			row := a[r*m : (r+1)*m]
+			if row[c] == 0 {
+				continue
+			}
+			f := row[c] / pivot[c]
+			row[c] = 0
+			for k := c + 1; k < m; k++ {
+				row[k] -= f * pivot[k]
+			}
+			b[r] -= f * b[c]
+		}
+	}
+	t := make([]float64, len(g.States))
+	for c := m - 1; c >= 0; c-- {
+		row := a[c*m : (c+1)*m]
+		sum := b[c]
+		for k := c + 1; k < m; k++ {
+			sum -= row[k] * t[states[k]]
+		}
+		t[states[c]] = sum / row[c]
+	}
+	return t, nil
 }
 
 // reachableCanMiss reports whether a state reachable from the initial state

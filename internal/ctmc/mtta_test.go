@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"ahs/internal/core"
 	"ahs/internal/san"
 )
 
@@ -175,14 +176,102 @@ func TestCertainAbsorptionOnStiffChain(t *testing.T) {
 	if err != nil || p != 1 {
 		t.Fatalf("absorption probability %v, %v; want exactly 1", p, err)
 	}
-	// The mean time (1e9+2 hours) has no such shortcut: its failure to
-	// converge is reported as such.
-	if _, err := g.meanTimeTo(san.HasTokens(ko, 1), sweeps); !errors.Is(err, ErrNotConverged) {
+	// The mean time (1e9+2 hours) has no such shortcut: Gauss-Seidel's
+	// failure to converge is reported as such, and the direct solve,
+	// which MeanTimeTo uses on a chain this small, answers it.
+	if _, err := g.meanTimeTo(san.HasTokens(ko, 1), 0, sweeps); !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("mean time error %v, want ErrNotConverged", err)
+	}
+	if mean, err := g.MeanTimeTo(san.HasTokens(ko, 1)); err != nil || math.Abs(mean-(1e9+2)) > 1e-6*(1e9+2) {
+		t.Fatalf("mean time %v, %v; want 1e9+2", mean, err)
 	}
 	// An unreachable target is exactly 0.
 	if p, err := g.absorptionProbability(san.HasTokens(up, 2), sweeps); err != nil || p != 0 {
 		t.Fatalf("unreachable absorption probability %v, %v; want exactly 0", p, err)
+	}
+}
+
+// TestMeanTimeToOnStiffChurnChain solves the n=1 paper model with vehicles
+// joining, leaving and changing platoons (815 states, exit rates spread
+// over six decades), on which Gauss-Seidel stalls: the direct solve must
+// answer, and its solution must satisfy every transient state's equation
+// E_s·t_s − Σ_j r_sj·t_j = 1.
+func TestMeanTimeToOnStiffChurnChain(t *testing.T) {
+	p := core.DefaultParams()
+	p.N = 1
+	p.Lambda = 1e-5
+	p.JoinRate, p.LeaveRate, p.ChangeRate = 12, 4, 6
+	p.TrackOutcomes = false
+	sys := core.MustBuild(p)
+	g, err := Explore(sys.Model, ExploreOptions{Absorb: sys.Unsafe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, err := g.MeanTimeTo(sys.Unsafe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(mean > 0) || math.IsInf(mean, 1) {
+		t.Fatalf("mean time to catastrophe %v, want finite and positive", mean)
+	}
+	if _, err := g.meanTimeTo(sys.Unsafe, 0, 1000); !errors.Is(err, ErrNotConverged) {
+		t.Fatalf("1000 Gauss-Seidel sweeps: %v, want ErrNotConverged", err)
+	}
+	target := make([]bool, len(g.States))
+	for s, mk := range g.States {
+		target[s] = sys.Unsafe(mk)
+	}
+	times, err := g.meanTimes(target, maxDirectUnknowns, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if times[g.Initial] != mean {
+		t.Fatalf("initial state's mean time %v, MeanTimeTo %v", times[g.Initial], mean)
+	}
+	worst := 0.0
+	for s, row := range g.rows {
+		if target[s] {
+			continue
+		}
+		flow := g.exitRate[s] * times[s]
+		for _, a := range row {
+			flow -= a.Rate * times[a.To]
+		}
+		worst = max(worst, math.Abs(flow-1)/(g.exitRate[s]*times[s]))
+	}
+	t.Logf("%d states, mean time %.4g h, largest relative residual %.2g", len(g.States), mean, worst)
+	if worst > 1e-9 {
+		t.Fatalf("largest relative residual %.3g, want at most 1e-9", worst)
+	}
+}
+
+// TestMeanTimeToGaussSeidelMatchesDirect solves the Erlang and M/M/1/K
+// chains both ways.
+func TestMeanTimeToGaussSeidelMatchesDirect(t *testing.T) {
+	erlang, c := buildErlangChain(5, 2)
+	mm1k, q := buildMM1K(5, 1, 2)
+	for _, tc := range []struct {
+		model  *san.Model
+		target san.Predicate
+	}{
+		{erlang, san.HasTokens(c, 5)},
+		{mm1k, san.HasTokens(q, 5)},
+	} {
+		g, err := Explore(tc.model, ExploreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := g.meanTimeTo(tc.target, maxDirectUnknowns, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iterated, err := g.meanTimeTo(tc.target, 0, maxSweeps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(direct-iterated) > 1e-9*direct {
+			t.Fatalf("%s: direct mean time %v, Gauss-Seidel %v", tc.model.Name(), direct, iterated)
+		}
 	}
 }
 
