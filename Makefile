@@ -3,7 +3,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build vet test race lint loc tools sanlint facts-golden serve worker cluster-smoke sweep-smoke store-smoke fleet-smoke chaos fuzz bench profile figures figures-full docs clean
+.PHONY: all build vet test race lint loc tools sanlint facts-golden serve worker cluster-smoke sweep-smoke store-smoke fleet-smoke chaos fuzz bench profile figures figures-full figures-check docs clean
 
 all: build lint test
 
@@ -203,6 +203,17 @@ figures:
 figures-full:
 	$(GO) run ./cmd/ahs-experiments -fig all -batches 20000 -seed 1 \
 		-csv docs/results -svg docs/svg -html docs/report.html
+
+# Regenerate the paper figures' CSVs at figures-full's settings into a
+# temporary directory and require them byte for byte equal to the
+# committed docs/results/ (about a minute on a 2-vCPU VM). A simulator
+# change that moves any figure trajectory fails here, not only in the
+# fingerprint test's sample of trajectories.
+figures-check:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/ahs-experiments -fig all -batches 20000 -seed 1 -csv "$$dir" >/dev/null; \
+	diff -r docs/results "$$dir"; \
+	echo "figures-check: docs/results reproduced byte for byte"
 
 docs: figures-full
 
