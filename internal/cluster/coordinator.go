@@ -416,7 +416,7 @@ func (c *Coordinator) await(ctx context.Context, j *clusterJob) (*mc.Curve, floa
 	fallback := !j.finished && c.liveWorkersLocked() == 0
 	c.mu.Unlock()
 	if fallback {
-		c.metrics.localFallback()
+		c.metrics.fallback.Inc()
 		c.cfg.Logf("cluster: no live workers, evaluating %s locally", shortHash(j.scenario))
 		j.span.Event("cluster.local-fallback")
 	}
@@ -575,8 +575,9 @@ func (r *localRun) fold(res localRound) {
 	c.journalChunk(j, rec)
 	c.mu.Lock()
 	j.unjournaled = false
-	c.metrics.chunkCompleted(time.Since(start).Seconds())
-	c.metrics.chunkRescued()
+	c.metrics.mergeSec.Observe(time.Since(start).Seconds())
+	c.metrics.completed.Inc()
+	c.metrics.rescued.Inc()
 	j.span.Event("cluster.chunk-rescued", obs.String("chunk", rec.Spec.String()))
 	c.settleLocked(j)
 	c.mu.Unlock()
@@ -763,7 +764,7 @@ func (c *Coordinator) sweep() {
 	for id, l := range c.leases {
 		if now.After(l.deadline) {
 			c.cfg.Logf("cluster: lease %s (chunk %s, worker %s) expired", id, l.spec, l.worker)
-			c.metrics.chunkRequeued()
+			c.metrics.requeued.Inc()
 			l.span.RecordError(fmt.Errorf("lease expired on worker %s", l.worker))
 			// Release before blaming the worker: exclusion requeues
 			// everything the worker still holds, and this lease must
@@ -831,7 +832,7 @@ func (c *Coordinator) failWorkerLocked(id string) {
 func (c *Coordinator) dropWorkerLocked(w *workerState) {
 	for id := range w.leases {
 		if l, ok := c.leases[id]; ok {
-			c.metrics.chunkRequeued()
+			c.metrics.requeued.Inc()
 			l.span.RecordError(fmt.Errorf("worker %s dropped", w.id))
 			c.releaseLeaseLocked(id)
 			c.requeueLocked(l.job, l.spec, fmt.Errorf("worker %s dropped", w.id))
@@ -880,12 +881,13 @@ func (c *Coordinator) foldLocked(j *clusterJob, state *mc.ChunkState) {
 		// Shape-invalid state: the chunk itself was never folded, so
 		// put it back in play.
 		c.cfg.Logf("cluster: rejecting chunk %s: %v", state.Spec, err)
-		c.metrics.chunkFailed()
+		c.metrics.failed.Inc()
 		c.requeueLocked(j, state.Spec, err)
 		return
 	}
 	c.journalChunk(j, state)
-	c.metrics.chunkCompleted(time.Since(start).Seconds())
+	c.metrics.mergeSec.Observe(time.Since(start).Seconds())
+	c.metrics.completed.Inc()
 	if j.progress != nil {
 		j.progress(j.merger.Done(), j.merger.Target())
 	}
@@ -1054,7 +1056,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			TTL:         duration(c.cfg.LeaseTTL),
 			TraceParent: traceparentOf(l.span.Context()),
 		}
-		c.metrics.chunkLeased()
+		c.metrics.leased.Inc()
 		break
 	}
 	c.mu.Unlock()
@@ -1092,7 +1094,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	j := l.job
 	if req.Error != "" || req.State == nil {
 		c.cfg.Logf("cluster: worker %s failed chunk %s: %s", req.WorkerID, l.spec, req.Error)
-		c.metrics.chunkFailed()
+		c.metrics.failed.Inc()
 		c.failWorkerLocked(req.WorkerID)
 		c.requeueLocked(j, l.spec, errors.New(req.Error))
 		c.mu.Unlock()
@@ -1101,7 +1103,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.State.Spec != l.spec {
 		c.cfg.Logf("cluster: worker %s returned chunk %s for lease of %s", req.WorkerID, req.State.Spec, l.spec)
-		c.metrics.chunkFailed()
+		c.metrics.failed.Inc()
 		c.failWorkerLocked(req.WorkerID)
 		c.requeueLocked(j, l.spec, errors.New("chunk spec mismatch"))
 		c.mu.Unlock()

@@ -209,7 +209,8 @@ func OpenJournal(cfg JournalConfig) (_ *Journal, err error) {
 	}
 	j.tail = tail
 	j.dropped += sc.Skipped
-	j.metrics.replay(j.replayed, j.dropped)
+	j.metrics.replayedRec.Add(uint64(j.replayed))
+	j.metrics.droppedRec.Add(uint64(j.dropped))
 	if sc.Cut > 0 {
 		cfg.Logf("cluster: journal %s: dropped %d torn/corrupt trailing bytes", tailPath, sc.Cut)
 	}
@@ -299,7 +300,8 @@ func (j *Journal) fold(rec journalRecord) {
 // The record is durable when append returns. Its whole duration,
 // lock wait and compaction included, lands in ahs_journal_append_seconds.
 func (j *Journal) append(rec journalRecord) error {
-	defer j.metrics.timeAppend(time.Now())
+	start := time.Now()
+	defer func() { j.metrics.appendSecs.Observe(time.Since(start).Seconds()) }()
 	payload, err := encodeRecord(rec)
 	if err != nil {
 		return err
@@ -314,9 +316,10 @@ func (j *Journal) append(rec journalRecord) error {
 	if err != nil {
 		return fmt.Errorf("cluster: journal append: %w", err)
 	}
-	j.metrics.fsynced(1)
+	j.metrics.fsyncs.Inc()
 	j.fold(rec)
-	j.metrics.appended(int(fr.Size()))
+	j.metrics.records.Inc()
+	j.metrics.bytes.Add(uint64(fr.Size()))
 	j.appends++
 	if j.appends >= j.cfg.CompactEvery {
 		if err := j.compactLocked(); err != nil {
@@ -369,7 +372,7 @@ func (j *Journal) compactLocked() error {
 		return err
 	}
 	// segment.Rewrite fsyncs the new snapshot and its directory.
-	j.metrics.fsynced(2)
+	j.metrics.fsyncs.Add(2)
 
 	// Reset the tail: everything it held is now in the snapshot.
 	if err := j.tail.Reset(); err != nil {
@@ -379,7 +382,7 @@ func (j *Journal) compactLocked() error {
 	j.compactions++
 	j.lastCompact = time.Now()
 	j.lastCompactErr = ""
-	j.metrics.compacted()
+	j.metrics.compactions.Inc()
 	return nil
 }
 
@@ -439,7 +442,7 @@ func (j *Journal) Sync() error {
 	if err := j.tail.Sync(); err != nil {
 		return err
 	}
-	j.metrics.fsynced(1)
+	j.metrics.fsyncs.Inc()
 	return nil
 }
 
@@ -460,8 +463,8 @@ func (j *Journal) Close() error {
 	return j.tail.Close()
 }
 
-// journalMetrics holds the ahs_journal_* families; nil (no registry)
-// disables recording.
+// journalMetrics holds the ahs_journal_* families, in a private registry
+// when none is configured.
 type journalMetrics struct {
 	appendSecs  *telemetry.Histogram
 	records     *telemetry.Counter
@@ -474,7 +477,7 @@ type journalMetrics struct {
 
 func newJournalMetrics(reg *telemetry.Registry, j *Journal) *journalMetrics {
 	if reg == nil {
-		return nil
+		reg = telemetry.NewRegistry()
 	}
 	m := &journalMetrics{
 		appendSecs: reg.Histogram(telemetry.Opts{
@@ -516,36 +519,4 @@ func newJournalMetrics(reg *telemetry.Registry, j *Journal) *journalMetrics {
 		return float64(len(j.jobs))
 	})
 	return m
-}
-
-func (m *journalMetrics) timeAppend(start time.Time) {
-	if m != nil {
-		m.appendSecs.Observe(time.Since(start).Seconds())
-	}
-}
-
-func (m *journalMetrics) appended(frameBytes int) {
-	if m != nil {
-		m.records.Inc()
-		m.bytes.Add(uint64(frameBytes))
-	}
-}
-
-func (m *journalMetrics) fsynced(n uint64) {
-	if m != nil {
-		m.fsyncs.Add(n)
-	}
-}
-
-func (m *journalMetrics) compacted() {
-	if m != nil {
-		m.compactions.Inc()
-	}
-}
-
-func (m *journalMetrics) replay(records, dropped int) {
-	if m != nil {
-		m.replayedRec.Add(uint64(records))
-		m.droppedRec.Add(uint64(dropped))
-	}
 }

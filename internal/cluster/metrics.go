@@ -2,8 +2,8 @@ package cluster
 
 import "ahs/internal/telemetry"
 
-// metrics holds the coordinator's telemetry families. A nil receiver (no
-// registry configured) disables every recording at the cost of one branch.
+// metrics holds the coordinator's telemetry families. Without a configured
+// registry they live in a private one that nothing scrapes.
 type metrics struct {
 	leased    *telemetry.Counter
 	completed *telemetry.Counter
@@ -16,7 +16,7 @@ type metrics struct {
 
 func newMetrics(reg *telemetry.Registry, coord *Coordinator) *metrics {
 	if reg == nil {
-		return nil
+		reg = telemetry.NewRegistry()
 	}
 	m := &metrics{
 		leased: reg.Counter(telemetry.Opts{
@@ -66,41 +66,4 @@ func newMetrics(reg *telemetry.Registry, coord *Coordinator) *metrics {
 		Help: "Chunks waiting for a lease across all active jobs.",
 	}, func() float64 { return float64(coord.Status().QueuedChunks) })
 	return m
-}
-
-func (m *metrics) chunkLeased() {
-	if m != nil {
-		m.leased.Inc()
-	}
-}
-
-func (m *metrics) chunkCompleted(mergeSeconds float64) {
-	if m != nil {
-		m.completed.Inc()
-		m.mergeSec.Observe(mergeSeconds)
-	}
-}
-
-func (m *metrics) chunkRequeued() {
-	if m != nil {
-		m.requeued.Inc()
-	}
-}
-
-func (m *metrics) chunkFailed() {
-	if m != nil {
-		m.failed.Inc()
-	}
-}
-
-func (m *metrics) localFallback() {
-	if m != nil {
-		m.fallback.Inc()
-	}
-}
-
-func (m *metrics) chunkRescued() {
-	if m != nil {
-		m.rescued.Inc()
-	}
 }

@@ -119,18 +119,18 @@ func NewPlan(cfg Config) *Plan {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	p := &Plan{
-		cfg:   cfg,
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewRegistry()
+	}
+	return &Plan{
+		cfg: cfg,
+		injected: cfg.Telemetry.CounterVec(telemetry.Opts{
+			Name: "ahs_fault_injected_total",
+			Help: "Faults injected by the chaos plan, by site and kind.",
+		}, "site", "kind"),
 		sites: make(map[string]*siteState),
 		count: make(map[string]map[Kind]uint64),
 	}
-	if cfg.Telemetry != nil {
-		p.injected = cfg.Telemetry.CounterVec(telemetry.Opts{
-			Name: "ahs_fault_injected_total",
-			Help: "Faults injected by the chaos plan, by site and kind.",
-		}, "site", "kind")
-	}
-	return p
 }
 
 // Seed returns the plan's root seed, for failure logs.
@@ -207,9 +207,7 @@ func (p *Plan) record(site string, kind Kind) {
 	}
 	m[kind]++
 	p.mu.Unlock()
-	if p.injected != nil {
-		p.injected.With(site, string(kind)).Inc() //ahsvet:ignore locklabel sites and kinds come from the fixed fault-plan vocabulary
-	}
+	p.injected.With(site, string(kind)).Inc() //ahsvet:ignore locklabel sites and kinds come from the fixed fault-plan vocabulary
 	p.cfg.Logf("faultinject: %s at %s", kind, site)
 }
 

@@ -8,8 +8,8 @@ import (
 // rest on them: exactly-once is "completed counters across the fleet sum
 // to the scenario count", failover is "promotions_total went 0→1 and
 // epoch rose", and fencing is "fenced_writes_total counted the stale
-// put". Counters degrade to no-ops without a registry (tests that don't
-// scrape).
+// put". Without a registry they live in a private one that nothing
+// scrapes.
 type metrics struct {
 	claims     *telemetry.Counter
 	conflicts  *telemetry.Counter

@@ -211,7 +211,7 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 	}
 	randomIDs(&traceID, nil)
 	s := t.newSpan(traceID, SpanID{}, name, attrs)
-	t.mets.sampled()
+	t.mets.sampledC.Inc()
 	return ContextWithSpan(ctx, s), s
 }
 
@@ -262,19 +262,19 @@ func (t *Tracer) record(sd SpanData, traceID TraceID, start time.Time, root bool
 	}
 	t.mu.Unlock()
 
-	for i := 0; i < evictions; i++ {
-		t.mets.evicted()
+	if evictions > 0 {
+		t.mets.evictedC.Add(uint64(evictions))
 	}
 	if droppedSpan {
-		t.mets.dropped()
+		t.mets.droppedC.Inc()
 	}
 	if recorded {
-		t.mets.recorded()
+		t.mets.spansC.Inc()
 	}
 }
 
-// traceMetrics holds the ahs_trace_* families; nil (no registry) disables
-// recording.
+// traceMetrics holds the ahs_trace_* families, in a private registry when
+// none is configured.
 type traceMetrics struct {
 	spansC   *telemetry.Counter
 	droppedC *telemetry.Counter
@@ -284,7 +284,7 @@ type traceMetrics struct {
 
 func newTraceMetrics(reg *telemetry.Registry, t *Tracer) *traceMetrics {
 	if reg == nil {
-		return nil
+		reg = telemetry.NewRegistry()
 	}
 	m := &traceMetrics{
 		spansC: reg.Counter(telemetry.Opts{
@@ -313,25 +313,4 @@ func newTraceMetrics(reg *telemetry.Registry, t *Tracer) *traceMetrics {
 		return float64(len(t.traces))
 	})
 	return m
-}
-
-func (m *traceMetrics) recorded() {
-	if m != nil {
-		m.spansC.Inc()
-	}
-}
-func (m *traceMetrics) dropped() {
-	if m != nil {
-		m.droppedC.Inc()
-	}
-}
-func (m *traceMetrics) sampled() {
-	if m != nil {
-		m.sampledC.Inc()
-	}
-}
-func (m *traceMetrics) evicted() {
-	if m != nil {
-		m.evictedC.Inc()
-	}
 }

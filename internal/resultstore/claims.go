@@ -398,14 +398,6 @@ func (c *Claims) Snapshot() ([]ClaimState, error) {
 	return out, err
 }
 
-// Len reports the number of live claims (as of the last reconciliation;
-// no disk access).
-func (c *Claims) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.index)
-}
-
 // compactLocked rewrites live claims into a fresh segment under the held
 // flock, dropping released and superseded records. Peers detect the
 // rename through Replaced on their next operation.

@@ -320,7 +320,8 @@ func (s *Store) Put(key string, value any) error {
 		return fmt.Errorf("resultstore: segment append: %w", err)
 	}
 	s.indexLocked(key, fr)
-	s.metrics.put(int(fr.Size()))
+	s.metrics.puts.Inc()
+	s.metrics.bytes.Add(uint64(fr.Size()))
 
 	if s.dead >= s.cfg.CompactMinDead && s.dead > s.seg.End()-s.dead {
 		if err := s.compactLocked(); err != nil {
@@ -352,7 +353,7 @@ func (s *Store) Get(key string, value any) (bool, error) {
 		loc, ok = s.index[key]
 	}
 	if !ok {
-		s.metrics.miss()
+		s.metrics.misses.Inc()
 		return false, nil
 	}
 	payload := make([]byte, loc.size-segment.HeaderSize)
@@ -369,7 +370,7 @@ func (s *Store) Get(key string, value any) (bool, error) {
 	if err := json.Unmarshal(rec.Value, value); err != nil {
 		return false, fmt.Errorf("resultstore: decode value: %w", err)
 	}
-	s.metrics.hit()
+	s.metrics.hits.Inc()
 	return true, nil
 }
 
@@ -517,7 +518,7 @@ func (s *Store) compactLocked() error {
 	s.dead = 0
 	s.compactions++
 	s.lastCompact = time.Now()
-	s.metrics.compacted()
+	s.metrics.compactions.Inc()
 	s.cfg.Logf("resultstore: compacted %s to %d results, %d bytes", s.cfg.Dir, len(newIndex), s.seg.End())
 	return nil
 }
@@ -549,9 +550,6 @@ func (s *Store) ReadOnly() bool {
 	defer s.mu.Unlock()
 	return s.readOnly
 }
-
-// Dir reports the store directory.
-func (s *Store) Dir() string { return s.cfg.Dir }
 
 // Sync flushes the segment to stable storage. Puts already sync
 // individually unless NoSync; Sync exists for drain paths.
@@ -653,8 +651,8 @@ func (s *Store) hook(site string) {
 	}
 }
 
-// storeMetrics holds the ahs_store_* families; nil (no registry) disables
-// recording.
+// storeMetrics holds the ahs_store_* families, in a private registry when
+// none is configured.
 type storeMetrics struct {
 	puts        *telemetry.Counter
 	hits        *telemetry.Counter
@@ -665,7 +663,7 @@ type storeMetrics struct {
 
 func newStoreMetrics(reg *telemetry.Registry, s *Store) *storeMetrics {
 	if reg == nil {
-		return nil
+		reg = telemetry.NewRegistry()
 	}
 	counter := func(name, help string) *telemetry.Counter {
 		return reg.Counter(telemetry.Opts{Name: name, Help: help})
@@ -702,29 +700,4 @@ func newStoreMetrics(reg *telemetry.Registry, s *Store) *storeMetrics {
 		return float64(s.dead)
 	})
 	return m
-}
-
-func (m *storeMetrics) put(frameBytes int) {
-	if m != nil {
-		m.puts.Inc()
-		m.bytes.Add(uint64(frameBytes))
-	}
-}
-
-func (m *storeMetrics) hit() {
-	if m != nil {
-		m.hits.Inc()
-	}
-}
-
-func (m *storeMetrics) miss() {
-	if m != nil {
-		m.misses.Inc()
-	}
-}
-
-func (m *storeMetrics) compacted() {
-	if m != nil {
-		m.compactions.Inc()
-	}
 }

@@ -66,7 +66,7 @@ func (m *Manager) fleetClaimLocked(sc *config.Scenario, hash string) error {
 	}
 	acquired, holder, err := m.cfg.Fleet.TryClaim(hash, payload)
 	if err != nil {
-		m.logf("service: fleet claim for %s failed, evaluating locally: %v", hash, err)
+		m.cfg.Logf("service: fleet claim for %s failed, evaluating locally: %v", hash, err)
 		return nil
 	}
 	if !acquired {
@@ -97,12 +97,12 @@ func (m *Manager) persistResult(hash string, res *Result) {
 	}
 	raw, err := json.Marshal(res)
 	if err != nil {
-		m.logf("service: encoding result %s for fleet put: %v", hash, err)
+		m.cfg.Logf("service: encoding result %s for fleet put: %v", hash, err)
 		m.fleetRelease(hash)
 		return
 	}
 	if err := m.cfg.Fleet.PutResult(hash, raw); err != nil {
-		m.logf("service: fleet put for %s: %v", hash, err)
+		m.cfg.Logf("service: fleet put for %s: %v", hash, err)
 	}
 }
 

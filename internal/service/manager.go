@@ -156,6 +156,9 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTenant == "" {
 		c.DefaultTenant = DefaultTenant
 	}
+	if c.Logf == nil {
+		c.Logf = func(string, ...any) {}
+	}
 	return c
 }
 

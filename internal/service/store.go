@@ -21,7 +21,7 @@ func (m *Manager) storeGet(hash string) (*Result, bool) {
 	var res Result
 	ok, err := m.cfg.Store.Get(hash, &res)
 	if err != nil {
-		m.logf("service: persistent store read for %s failed: %v", hash, err)
+		m.cfg.Logf("service: persistent store read for %s failed: %v", hash, err)
 		return nil, false
 	}
 	if !ok {
@@ -38,13 +38,6 @@ func (m *Manager) storePut(hash string, res *Result) {
 		return
 	}
 	if err := m.cfg.Store.Put(hash, res); err != nil {
-		m.logf("service: persistent store write for %s failed: %v", hash, err)
-	}
-}
-
-// logf routes through Config.Logf, defaulting to silence.
-func (m *Manager) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf(format, args...)
+		m.cfg.Logf("service: persistent store write for %s failed: %v", hash, err)
 	}
 }
