@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
 	"sync"
@@ -233,8 +234,9 @@ func (n *Node) Tick() {
 		// becomes adoptable only once its TTL lapses, whenever that is.
 		n.adopt()
 	case RoleFollower:
-		n.refreshView()
-		n.maybePromote()
+		if n.refreshView() {
+			n.maybePromote()
+		}
 	}
 	n.renewOwned()
 	n.flushPending()
@@ -317,8 +319,9 @@ func (n *Node) TryClaim(hash string, scenario []byte) (acquired bool, holderURL 
 	return true, "", nil
 }
 
-// Release drops this node's claim on hash (evaluation failed or was
-// cancelled; the work is up for grabs again).
+// Release drops this node's claim on hash and any result parked for it:
+// the evaluation failed or was cancelled, or its result is persisted, so
+// the work is up for grabs again or done.
 func (n *Node) Release(hash string) {
 	n.mu.Lock()
 	delete(n.owned, hash)
@@ -331,51 +334,39 @@ func (n *Node) Release(hash string) {
 
 // PutResult persists a finished result fleet-wide and releases the claim.
 // The writer writes the segment directly; a follower forwards to the
-// writer's advertised URL. A forward that fails transiently parks the
-// result in the pending queue — the claim stays held and renewed, so no
-// peer duplicates the work while the writer is unreachable — and retries
-// each tick. A fenced forward (stale epoch, lost claim) returns ErrFenced
-// and drops the claim: the result is superseded, not retryable.
+// writer's advertised URL. The claim is released only after the result
+// is persisted, so every scenario is always covered by a claim or a store
+// entry, never neither. A put or forward that fails parks the result in
+// the pending queue — the claim stays held and renewed, so no peer
+// duplicates the work meanwhile — and each tick delivers it again
+// through PutResult. A fenced forward (stale epoch, lost claim) returns
+// ErrFenced and drops the claim: the result is superseded, not
+// retryable.
 func (n *Node) PutResult(hash string, value []byte) error {
 	n.mu.Lock()
 	role := n.role
 	epoch := n.epoch
 	n.mu.Unlock()
+	var err error
 	if role == RoleWriter {
-		if err := n.cfg.Store.Put(hash, json.RawMessage(value)); err != nil {
-			return err
-		}
-		n.finishPut(hash)
-		return nil
+		err = n.cfg.Store.Put(hash, json.RawMessage(value))
+	} else {
+		err = n.forwardPut(hash, value, epoch)
 	}
-	err := n.forwardPut(hash, value, epoch)
 	switch {
 	case err == nil:
-		n.finishPut(hash)
+		n.Release(hash)
 		return nil
 	case errors.Is(err, ErrFenced):
 		n.metrics.fencedOut.Inc()
 		n.Release(hash)
 		return err
 	default:
-		n.cfg.Logf("fleet: forwarding result for %s failed (queued for retry): %v", hash, err)
+		n.cfg.Logf("fleet: delivering result for %s failed (queued for retry): %v", hash, err)
 		n.mu.Lock()
 		n.pending[hash] = value
 		n.mu.Unlock()
 		return nil
-	}
-}
-
-// finishPut releases the claim after a successful persist — the ordering
-// that guarantees every scenario is always covered by a claim or a store
-// entry, never neither.
-func (n *Node) finishPut(hash string) {
-	n.mu.Lock()
-	delete(n.owned, hash)
-	delete(n.pending, hash)
-	n.mu.Unlock()
-	if err := n.claims.Release(hash); err != nil {
-		n.cfg.Logf("fleet: post-put release of %s failed: %v", hash, err)
 	}
 }
 
@@ -410,15 +401,17 @@ func (n *Node) forwardPut(hash string, value []byte, epoch uint64) error {
 	}
 }
 
-// refreshView re-reads the writer heartbeat and fencing epoch. A follower
-// whose epoch view advances here re-stamps its pending work before the
-// next forward, which is how a put that raced a promotion recovers
-// instead of staying fenced.
-func (n *Node) refreshView() {
+// refreshView re-reads the writer heartbeat and fencing epoch, and
+// reports whether the heartbeat is missing or stale. A read error reports
+// false: it is no evidence that the writer died. A follower whose epoch
+// view advances here re-stamps its pending work before the next forward,
+// which is how a put that raced a promotion recovers instead of staying
+// fenced.
+func (n *Node) refreshView() (writerStale bool) {
 	info, ok, err := resultstore.ReadWriterInfo(n.cfg.Dir)
 	if err != nil {
 		n.cfg.Logf("fleet: reading writer info failed: %v", err)
-		return
+		return false
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -429,19 +422,13 @@ func (n *Node) refreshView() {
 			n.metrics.observeEpoch(n.epoch)
 		}
 	}
+	return !ok || info.Expired(time.Now())
 }
 
-// maybePromote checks both failover conditions — stale heartbeat AND
-// acquirable flock — and runs the promotion sequence when they hold.
+// maybePromote runs the promotion sequence once the writer heartbeat is
+// stale; it succeeds only if the writer's flock is free, the second
+// failover condition.
 func (n *Node) maybePromote() {
-	info, ok, err := resultstore.ReadWriterInfo(n.cfg.Dir)
-	if err != nil {
-		n.cfg.Logf("fleet: reading writer info failed: %v", err)
-		return
-	}
-	if ok && !info.Expired(time.Now()) {
-		return // writer is alive
-	}
 	n.setRole(RolePromoting)
 	if err := n.promote(); err != nil {
 		// Lost the race (a peer promoted first) or the writer is back:
@@ -450,7 +437,6 @@ func (n *Node) maybePromote() {
 			n.cfg.Logf("fleet: promotion failed: %v", err)
 		}
 		n.setRole(RoleFollower)
-		return
 	}
 }
 
@@ -547,40 +533,14 @@ func (n *Node) renewOwned() {
 	}
 }
 
-// flushPending retries parked result forwards.
+// flushPending delivers parked results again, as the writer if this node
+// promoted since they were parked.
 func (n *Node) flushPending() {
 	n.mu.Lock()
-	if len(n.pending) == 0 {
-		n.mu.Unlock()
-		return
-	}
-	batch := make(map[string][]byte, len(n.pending))
-	for k, v := range n.pending {
-		batch[k] = v
-	}
-	role := n.role
-	epoch := n.epoch
+	batch := maps.Clone(n.pending)
 	n.mu.Unlock()
 	for hash, value := range batch {
-		if role == RoleWriter {
-			// Promoted with puts still parked: write them ourselves.
-			if err := n.cfg.Store.Put(hash, json.RawMessage(value)); err != nil {
-				n.cfg.Logf("fleet: local flush of %s failed: %v", hash, err)
-				continue
-			}
-			n.finishPut(hash)
-			continue
-		}
-		err := n.forwardPut(hash, value, epoch)
-		switch {
-		case err == nil:
-			n.finishPut(hash)
-		case errors.Is(err, ErrFenced):
-			n.metrics.fencedOut.Inc()
-			n.Release(hash)
-		default:
-			n.cfg.Logf("fleet: retry forward of %s failed: %v", hash, err)
-		}
+		n.PutResult(hash, value)
 	}
 }
 

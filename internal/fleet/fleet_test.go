@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os/signal"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -354,6 +356,61 @@ func TestPendingPutRetries(t *testing.T) {
 	h = f.node.Health()
 	if h["pending"] != 0 || h["claims"] != 0 {
 		t.Fatalf("health after flush = %+v, want pending=0 claims=0", h)
+	}
+}
+
+// TestWriterPutFailureParksAndRetries: a writer whose store put fails
+// keeps the claim and parks the result like a follower's failed forward,
+// and the next tick persists it and releases the claim. The put fails
+// because the test lowers its own process's file-size limit to the
+// segment's current length, so the append gets EFBIG; a 64 KiB filler
+// record keeps the limit above every other file a fleet test writes.
+func TestWriterPutFailureParksAndRetries(t *testing.T) {
+	dir := t.TempDir()
+	w := newMember(t, dir, "node-a", false, nil)
+	if err := w.store.Put("filler", strings.Repeat("x", 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	value := docJSON(t, 5)
+	if acquired, _, err := w.node.TryClaim("hash-5", value); !acquired || err != nil {
+		t.Fatalf("TryClaim: acquired=%v err=%v", acquired, err)
+	}
+
+	var old syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
+		t.Fatal(err)
+	}
+	signal.Ignore(syscall.SIGXFSZ)
+	defer signal.Reset(syscall.SIGXFSZ)
+	limit := old
+	limit.Cur = uint64(w.store.Stats().SegmentBytes)
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &limit); err != nil {
+		t.Fatal(err)
+	}
+	err := w.node.PutResult("hash-5", value)
+	if rerr := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &old); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err != nil {
+		t.Fatalf("PutResult with a failing store should park, got %v", err)
+	}
+	if w.store.Has("hash-5") {
+		t.Fatal("result stored despite the file-size limit")
+	}
+	if h := w.node.Health(); h["pending"] != 1 || h["claims"] != 1 {
+		t.Fatalf("health after park = %+v, want pending=1 claims=1", h)
+	}
+
+	w.node.Tick()
+	var got json.RawMessage
+	if ok, err := w.store.Get("hash-5", &got); !ok || err != nil {
+		t.Fatalf("parked result not persisted by the next tick: ok=%v err=%v", ok, err)
+	}
+	if !bytes.Equal(got, value) {
+		t.Fatalf("persisted %s, want %s", got, value)
+	}
+	if h := w.node.Health(); h["pending"] != 0 || h["claims"] != 0 {
+		t.Fatalf("health after retry = %+v, want pending=0 claims=0", h)
 	}
 }
 
