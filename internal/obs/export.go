@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"strconv"
 
 	"ahs/internal/trace"
 )
@@ -32,7 +33,7 @@ func WriteChromeTrace(w io.Writer, td TraceData) error {
 			key := "event." + ev.Name
 			if i > 0 {
 				// Perfetto args are a flat map; disambiguate repeats.
-				key = key + "#" + itoa(i)
+				key = key + "#" + strconv.Itoa(i)
 			}
 			args[key] = ev.Time.Sub(td.Start).String()
 		}
@@ -57,20 +58,4 @@ func WriteChromeTrace(w io.Writer, td TraceData) error {
 		name = td.Root + " " + td.TraceID
 	}
 	return trace.WriteChromeSpans(w, name, spans)
-}
-
-// itoa is strconv.Itoa for the tiny non-negative ints used in event keys,
-// saving the strconv import in this hot-ish path.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

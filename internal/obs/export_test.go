@@ -61,12 +61,3 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 		t.Fatalf("empty export does not validate: %v", err)
 	}
 }
-
-func TestItoa(t *testing.T) {
-	cases := map[int]string{0: "0", 1: "1", 9: "9", 10: "10", 123: "123", 99999: "99999"}
-	for n, want := range cases {
-		if got := itoa(n); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", n, got, want)
-		}
-	}
-}

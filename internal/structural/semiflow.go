@@ -1,6 +1,7 @@
 package structural
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -181,7 +182,7 @@ func minimalSupport(sols [][]int) [][]int {
 	// Equal-support duplicates survive the filter; drop exact repeats.
 	dedup := out[:0]
 	for i, y := range out {
-		if i > 0 && equalVec(out[i-1], y) {
+		if i > 0 && slices.Equal(out[i-1], y) {
 			continue
 		}
 		dedup = append(dedup, y)
@@ -196,15 +197,6 @@ func lessVec(a, b []int) bool {
 		}
 	}
 	return false
-}
-
-func equalVec(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // pSemiflows computes the P-semiflows of the observed incidence columns:

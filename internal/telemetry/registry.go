@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -113,7 +114,7 @@ func (r *Registry) register(o Opts, kind Kind, labels []string, fn func() float6
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[o.Name]; ok {
-		if f.kind != kind || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, o.Buckets) {
+		if f.kind != kind || !slices.Equal(f.labels, labels) || !slices.Equal(f.buckets, o.Buckets) {
 			panic(fmt.Sprintf("telemetry: metric %q re-registered with a different shape", o.Name))
 		}
 		return f
@@ -129,30 +130,6 @@ func (r *Registry) register(o Opts, kind Kind, labels []string, fn func() float6
 	}
 	r.families[o.Name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] { //ahsvet:ignore floateq bucket bounds are configuration constants compared verbatim
-			return false
-		}
-	}
-	return true
 }
 
 // with returns (creating on first use) the child for the given label values.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
@@ -112,17 +113,15 @@ func histogramQuantile(h *metrics.Float64Histogram, q float64) float64 {
 			// Bucket i spans Buckets[i]..Buckets[i+1]; report the upper
 			// bound, falling back to the lower when it is +Inf.
 			hi := h.Buckets[i+1]
-			if isInf(hi) {
+			if math.IsInf(hi, 0) {
 				return h.Buckets[i]
 			}
 			return hi
 		}
 	}
 	last := h.Buckets[len(h.Buckets)-1]
-	if isInf(last) {
+	if math.IsInf(last, 0) {
 		return h.Buckets[len(h.Buckets)-2]
 	}
 	return last
 }
-
-func isInf(f float64) bool { return f > 1.7e308 || f < -1.7e308 }
