@@ -48,9 +48,8 @@ func (g *Graph) canReach(target []bool) []bool {
 	return reached
 }
 
-// maxDirectUnknowns is the largest number of transient states whose mean
-// times MeanTimeTo solves by dense elimination; the matrix then takes at
-// most 32 MiB.
+// maxDirectUnknowns is the largest number of unknowns that solve
+// eliminates densely; the matrix then takes at most 32 MiB.
 const maxDirectUnknowns = 2048
 
 // MeanTimeTo returns the expected time until the chain first enters a state
@@ -59,10 +58,10 @@ const maxDirectUnknowns = 2048
 // unreachable (the absorption probability is below one), and
 // ErrUnreachableTarget when the target cannot be reached at all.
 //
-// The linear system t_i = 1/E_i + Σ_j P_ij·t_j over transient states is
-// solved by Gaussian elimination with partial pivoting when it has at most
-// maxDirectUnknowns unknowns, which stiff chains need, and otherwise by
-// Gauss-Seidel iteration to solveTol relative, within maxSweeps sweeps.
+// solve answers the linear system t_i = 1/E_i + Σ_j P_ij·t_j over the
+// transient states, with t = 0 on the target: by dense elimination up to
+// maxDirectUnknowns unknowns, which stiff chains need, and by Gauss-Seidel
+// above that.
 func (g *Graph) MeanTimeTo(pred san.Predicate) (float64, error) {
 	return g.meanTimeTo(pred, maxDirectUnknowns, maxSweeps)
 }
@@ -100,11 +99,9 @@ func (g *Graph) meanTimeTo(pred san.Predicate, maxDirect, maxIter int) (float64,
 	return t[g.Initial], nil
 }
 
-// meanTimes returns every state's mean time to the target (0 on it),
-// solving directly when there are at most maxDirect transient states and
-// by at most maxIter Gauss-Seidel sweeps otherwise.
+// meanTimes returns every state's mean time to the target (0 on it).
 func (g *Graph) meanTimes(target []bool, maxDirect, maxIter int) ([]float64, error) {
-	unknowns := 0
+	unknown := make([]bool, len(target))
 	for s, isTarget := range target {
 		if isTarget {
 			continue
@@ -114,66 +111,72 @@ func (g *Graph) meanTimes(target []bool, maxDirect, maxIter int) ([]float64, err
 			// reachableCanMiss returned false.
 			return nil, fmt.Errorf("ctmc: transient deadlock state %d", s)
 		}
-		unknowns++
+		unknown[s] = true
 	}
-	if unknowns <= maxDirect {
-		return g.meanTimesDirect(target, unknowns)
+	t := make([]float64, len(target))
+	if err := g.solve(t, unknown, 1, maxDirect, maxIter); err != nil {
+		return nil, fmt.Errorf("mean time to target: %w", err)
 	}
-	n := len(g.States)
-	t := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		maxDelta := 0.0
-		for s := 0; s < n; s++ {
-			if target[s] {
-				continue
-			}
-			sum := 0.0
-			for _, a := range g.rows[s] {
-				if !target[a.To] {
-					sum += a.Rate * t[a.To]
-				}
-			}
-			next := (1 + sum) / g.exitRate[s]
-			delta := math.Abs(next - t[s])
-			if rel := math.Abs(next); rel > 1 {
-				delta /= rel
-			}
-			if delta > maxDelta {
-				maxDelta = delta
-			}
-			t[s] = next
-		}
-		if maxDelta < solveTol {
-			return t, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: mean time to target after %d sweeps", ErrNotConverged, maxIter)
+	return t, nil
 }
 
-// meanTimesDirect solves E_s·t_s − Σ_j r_sj·t_j = 1 over the m transient
-// states s (j ranging over transient states too) by Gaussian elimination
-// with partial pivoting on a dense m×m matrix, skipping the zero entries
-// that the chain's sparsity leaves below the pivots.
-func (g *Graph) meanTimesDirect(target []bool, m int) ([]float64, error) {
-	col := make([]int, len(g.States)) // unknown of each transient state
-	states := make([]int, 0, m)       // state of each unknown
-	for s, isTarget := range target {
-		if !isTarget {
-			col[s] = len(states)
+// solve solves E_s·x_s − Σ_j r_sj·x_j = rhs for the states s marked
+// unknown, with j over all states and x held at its given values on the
+// others, and stores the solution in x. Every unknown state must be able
+// to reach a state outside the unknown set, so that the system is
+// nonsingular. With at most maxDirect unknowns it eliminates with partial
+// pivoting on a dense matrix, skipping the zero entries that the chain's
+// sparsity leaves below the pivots. Otherwise it
+// runs Gauss-Seidel sweeps x_s = (rhs + Σ_j r_sj·x_j)/E_s until a sweep
+// changes no x_s by more than solveTol (relative where |x_s| > 1), within
+// maxIter sweeps.
+func (g *Graph) solve(x []float64, unknown []bool, rhs float64, maxDirect, maxIter int) error {
+	states := make([]int, 0, len(x)) // state of each unknown
+	for s, u := range unknown {
+		if u {
 			states = append(states, s)
 		}
+	}
+	m := len(states)
+	if m > maxDirect {
+		for iter := 0; iter < maxIter; iter++ {
+			maxDelta := 0.0
+			for _, s := range states {
+				sum := 0.0
+				for _, a := range g.rows[s] {
+					sum += a.Rate * x[a.To]
+				}
+				next := (rhs + sum) / g.exitRate[s]
+				delta := math.Abs(next - x[s])
+				if rel := math.Abs(next); rel > 1 {
+					delta /= rel
+				}
+				maxDelta = max(maxDelta, delta)
+				x[s] = next
+			}
+			if maxDelta < solveTol {
+				return nil
+			}
+		}
+		return fmt.Errorf("%w after %d sweeps", ErrNotConverged, maxIter)
+	}
+	col := make([]int, len(x)) // unknown of each state
+	for k, s := range states {
+		col[s] = k
 	}
 	a := make([]float64, m*m)
 	b := make([]float64, m)
 	for k, s := range states {
 		row := a[k*m : (k+1)*m]
 		row[k] += g.exitRate[s]
+		b[k] = rhs
 		for _, arc := range g.rows[s] {
-			if !target[arc.To] {
+			if unknown[arc.To] {
 				row[col[arc.To]] -= arc.Rate
+			} else {
+				b[k] += arc.Rate * x[arc.To]
 			}
 		}
-		b[k] = 1
 	}
 	for c := 0; c < m; c++ {
 		p := c
@@ -183,7 +186,7 @@ func (g *Graph) meanTimesDirect(target []bool, m int) ([]float64, error) {
 			}
 		}
 		if a[p*m+c] == 0 {
-			return nil, fmt.Errorf("ctmc: singular mean-time system at state %d", states[c])
+			return fmt.Errorf("ctmc: singular system at state %d", states[c])
 		}
 		pivot := a[c*m : (c+1)*m]
 		if p != c {
@@ -206,16 +209,15 @@ func (g *Graph) meanTimesDirect(target []bool, m int) ([]float64, error) {
 			b[r] -= f * b[c]
 		}
 	}
-	t := make([]float64, len(g.States))
 	for c := m - 1; c >= 0; c-- {
 		row := a[c*m : (c+1)*m]
 		sum := b[c]
 		for k := c + 1; k < m; k++ {
-			sum -= row[k] * t[states[k]]
+			sum -= row[k] * x[states[k]]
 		}
-		t[states[c]] = sum / row[c]
+		x[states[c]] = sum / row[c]
 	}
-	return t, nil
+	return nil
 }
 
 // reachableCanMiss reports whether a state reachable from the initial state
@@ -249,13 +251,14 @@ func (g *Graph) reachableCanMiss(target, reach []bool) bool {
 // of the transient probability). It is exactly 0 when no target state is
 // reachable and exactly 1 when every state reachable from the initial one
 // can still reach the target: a finite chain then cannot avoid it.
-// Otherwise it is solved by Gauss-Seidel on p_i = Σ_j P_ij·p_j with p = 1
-// on the target, to solveTol within maxSweeps sweeps.
+// Otherwise solve answers p_i = Σ_j P_ij·p_j over the states that can
+// reach the target, with p = 1 on the target and 0 on the states that
+// cannot reach it.
 func (g *Graph) AbsorptionProbability(pred san.Predicate) (float64, error) {
-	return g.absorptionProbability(pred, maxSweeps)
+	return g.absorptionProbability(pred, maxDirectUnknowns, maxSweeps)
 }
 
-func (g *Graph) absorptionProbability(pred san.Predicate, maxIter int) (float64, error) {
+func (g *Graph) absorptionProbability(pred san.Predicate, maxDirect, maxIter int) (float64, error) {
 	n := len(g.States)
 	target := make([]bool, n)
 	for i, mk := range g.States {
@@ -274,30 +277,15 @@ func (g *Graph) absorptionProbability(pred san.Predicate, maxIter int) (float64,
 		return 1, nil
 	}
 	p := make([]float64, n)
-	for i := range p {
-		if target[i] {
-			p[i] = 1
+	unknown := make([]bool, n)
+	for s := range p {
+		if target[s] {
+			p[s] = 1
 		}
+		unknown[s] = reach[s] && !target[s]
 	}
-	for iter := 0; iter < maxIter; iter++ {
-		maxDelta := 0.0
-		for s := 0; s < n; s++ {
-			if target[s] || g.exitRate[s] == 0 {
-				continue // absorbing: keeps its value (1 on target, 0 off)
-			}
-			sum := 0.0
-			for _, a := range g.rows[s] {
-				sum += a.Rate * p[a.To]
-			}
-			next := sum / g.exitRate[s]
-			if d := math.Abs(next - p[s]); d > maxDelta {
-				maxDelta = d
-			}
-			p[s] = next
-		}
-		if maxDelta < solveTol {
-			return p[g.Initial], nil
-		}
+	if err := g.solve(p, unknown, 0, maxDirect, maxIter); err != nil {
+		return 0, fmt.Errorf("absorption probability: %w", err)
 	}
-	return 0, fmt.Errorf("%w: absorption probability after %d sweeps", ErrNotConverged, maxIter)
+	return p[g.Initial], nil
 }

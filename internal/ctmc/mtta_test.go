@@ -172,7 +172,7 @@ func TestCertainAbsorptionOnStiffChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sweeps = 1000
-	p, err := g.absorptionProbability(san.HasTokens(ko, 1), sweeps)
+	p, err := g.absorptionProbability(san.HasTokens(ko, 1), 0, sweeps)
 	if err != nil || p != 1 {
 		t.Fatalf("absorption probability %v, %v; want exactly 1", p, err)
 	}
@@ -186,8 +186,54 @@ func TestCertainAbsorptionOnStiffChain(t *testing.T) {
 		t.Fatalf("mean time %v, %v; want 1e9+2", mean, err)
 	}
 	// An unreachable target is exactly 0.
-	if p, err := g.absorptionProbability(san.HasTokens(up, 2), sweeps); err != nil || p != 0 {
+	if p, err := g.absorptionProbability(san.HasTokens(up, 2), 0, sweeps); err != nil || p != 0 {
 		t.Fatalf("unreachable absorption probability %v, %v; want exactly 0", p, err)
+	}
+}
+
+// buildLeakyChain returns the chain up=0 ⇄ up=1 (rise at rate 1, fall at
+// rate fall) that fails into ko from up=1 at rate 1 and leaks out of up=0
+// into gone at rate exit; ko and gone absorb.
+func buildLeakyChain(fall, exit float64) (*san.Model, san.PlaceID) {
+	b := san.NewBuilder("leaky")
+	up := b.Place("up", 0)
+	ko := b.Place("ko", 0)
+	gone := b.Place("gone", 0)
+	alive := func(want int) san.Predicate {
+		return func(m *san.Marking) bool {
+			return m.Tokens(ko) == 0 && m.Tokens(gone) == 0 && m.Tokens(up) == want
+		}
+	}
+	b.Timed(san.TimedActivity{Name: "rise", Enabled: alive(0), Rate: san.ConstRate(1), Input: san.Produce(up, 1)})
+	b.Timed(san.TimedActivity{Name: "fall", Enabled: alive(1), Rate: san.ConstRate(fall), Input: san.Consume(up, 1)})
+	b.Timed(san.TimedActivity{Name: "fail", Enabled: alive(1), Rate: san.ConstRate(1), Input: san.Produce(ko, 1)})
+	b.Timed(san.TimedActivity{Name: "exit", Enabled: alive(0), Rate: san.ConstRate(exit), Input: san.Produce(gone, 1)})
+	return b.MustBuild(), ko
+}
+
+// TestAbsorptionProbabilityOnStiffLeakyChain solves an absorption
+// probability that neither shortcut answers, on a chain whose
+// Gauss-Seidel sweeps barely move (the fall rate is 1e9 and the leak
+// 1e-9). The exact answer is p = 1/(1 + 1e-9·(1e9+1)). Partial pivoting
+// cancels digits on this chain, so the direct solve is held to 1e-6
+// relative.
+func TestAbsorptionProbabilityOnStiffLeakyChain(t *testing.T) {
+	m, ko := buildLeakyChain(1e9, 1e-9)
+	g, err := Explore(m, ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.States) != 4 {
+		t.Fatalf("%d states, want 4", len(g.States))
+	}
+	p, err := g.AbsorptionProbability(san.HasTokens(ko, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1 / (1 + 1e-9*(1e9+1))
+	t.Logf("absorption probability %.10g, exact %.11g", p, want)
+	if math.Abs(p-want) > 1e-6*want {
+		t.Fatalf("absorption probability %v, want %v within 1e-6 relative", p, want)
 	}
 }
 
@@ -245,32 +291,40 @@ func TestMeanTimeToOnStiffChurnChain(t *testing.T) {
 	}
 }
 
-// TestMeanTimeToGaussSeidelMatchesDirect solves the Erlang and M/M/1/K
-// chains both ways.
+// TestMeanTimeToGaussSeidelMatchesDirect solves the mean times of the
+// Erlang and M/M/1/K chains and the absorption probability of a leaky
+// chain both ways.
 func TestMeanTimeToGaussSeidelMatchesDirect(t *testing.T) {
 	erlang, c := buildErlangChain(5, 2)
 	mm1k, q := buildMM1K(5, 1, 2)
+	leaky, ko := buildLeakyChain(2, 0.5)
 	for _, tc := range []struct {
-		model  *san.Model
-		target san.Predicate
+		model      *san.Model
+		target     san.Predicate
+		absorption bool // solve the absorption probability, not the mean time
 	}{
-		{erlang, san.HasTokens(c, 5)},
-		{mm1k, san.HasTokens(q, 5)},
+		{erlang, san.HasTokens(c, 5), false},
+		{mm1k, san.HasTokens(q, 5), false},
+		{leaky, san.HasTokens(ko, 1), true},
 	} {
 		g, err := Explore(tc.model, ExploreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := g.meanTimeTo(tc.target, maxDirectUnknowns, 0)
+		solve := g.meanTimeTo
+		if tc.absorption {
+			solve = g.absorptionProbability
+		}
+		direct, err := solve(tc.target, maxDirectUnknowns, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		iterated, err := g.meanTimeTo(tc.target, 0, maxSweeps)
+		iterated, err := solve(tc.target, 0, maxSweeps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(direct-iterated) > 1e-9*direct {
-			t.Fatalf("%s: direct mean time %v, Gauss-Seidel %v", tc.model.Name(), direct, iterated)
+			t.Fatalf("%s: direct solve %v, Gauss-Seidel %v", tc.model.Name(), direct, iterated)
 		}
 	}
 }
