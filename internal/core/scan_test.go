@@ -48,7 +48,8 @@ func scanCost(t *testing.T, n int, count bool) (steps, calls uint64) {
 // on the paper model: a full rescan calls all 165 timed predicates of the
 // n=10 model before every draw (167.3 calls per step, counting the scan
 // that ends each trajectory); the runner re-evaluates only the activities
-// whose latest evaluation read a written place (10.1 calls per step).
+// that read a written place since that place's last write (10.2 calls per
+// step).
 func TestScanEvaluatesFewPredicatesPerStep(t *testing.T) {
 	for _, n := range []int{2, 10} {
 		plain, _ := scanCost(t, n, false)
