@@ -512,7 +512,7 @@ func TestJournalTruncationTable(t *testing.T) {
 	}
 	for _, cut := range cuts {
 		cut := cut
-		t.Run(formatCut(cut, len(data)), func(t *testing.T) {
+		t.Run("cut="+strconv.Itoa(cut)+"of"+strconv.Itoa(len(data)), func(t *testing.T) {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, journalTailName), data[:cut], 0o644); err != nil {
 				t.Fatal(err)
@@ -532,24 +532,6 @@ func TestJournalTruncationTable(t *testing.T) {
 			assertBitIdentical(t, got, want)
 		})
 	}
-}
-
-func formatCut(cut, total int) string {
-	return "cut=" + itoa(cut) + "of" + itoa(total)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // TestJournalWriterLock: one open journal per directory. A second open

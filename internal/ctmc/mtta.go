@@ -58,8 +58,8 @@ const maxDirectUnknowns = 2048
 // unreachable (the absorption probability is below one), and
 // ErrUnreachableTarget when the target cannot be reached at all.
 //
-// solve answers the linear system t_i = 1/E_i + Σ_j P_ij·t_j over the
-// transient states, with t = 0 on the target: by dense elimination up to
+// The linear system t_i = 1/E_i + Σ_j P_ij·t_j over the transient
+// states, with t = 0 on the target, is solved by dense elimination up to
 // maxDirectUnknowns unknowns, which stiff chains need, and by Gauss-Seidel
 // above that.
 func (g *Graph) MeanTimeTo(pred san.Predicate) (float64, error) {
@@ -126,10 +126,9 @@ func (g *Graph) meanTimes(target []bool, maxDirect, maxIter int) ([]float64, err
 // to reach a state outside the unknown set, so that the system is
 // nonsingular. With at most maxDirect unknowns it eliminates with partial
 // pivoting on a dense matrix, skipping the zero entries that the chain's
-// sparsity leaves below the pivots. Otherwise it
-// runs Gauss-Seidel sweeps x_s = (rhs + Σ_j r_sj·x_j)/E_s until a sweep
-// changes no x_s by more than solveTol (relative where |x_s| > 1), within
-// maxIter sweeps.
+// sparsity leaves below the pivots. Otherwise it runs Gauss-Seidel sweeps
+// x_s = (rhs + Σ_j r_sj·x_j)/E_s until a sweep changes no x_s by more than
+// solveTol (relative where |x_s| > 1), within maxIter sweeps.
 func (g *Graph) solve(x []float64, unknown []bool, rhs float64, maxDirect, maxIter int) error {
 	states := make([]int, 0, len(x)) // state of each unknown
 	for s, u := range unknown {
@@ -251,9 +250,9 @@ func (g *Graph) reachableCanMiss(target, reach []bool) bool {
 // of the transient probability). It is exactly 0 when no target state is
 // reachable and exactly 1 when every state reachable from the initial one
 // can still reach the target: a finite chain then cannot avoid it.
-// Otherwise solve answers p_i = Σ_j P_ij·p_j over the states that can
-// reach the target, with p = 1 on the target and 0 on the states that
-// cannot reach it.
+// Otherwise the system p_i = Σ_j P_ij·p_j over the states that can reach
+// the target, with p = 1 on the target and 0 on the states that cannot
+// reach it, is solved as MeanTimeTo's is.
 func (g *Graph) AbsorptionProbability(pred san.Predicate) (float64, error) {
 	return g.absorptionProbability(pred, maxDirectUnknowns, maxSweeps)
 }
